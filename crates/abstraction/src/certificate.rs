@@ -27,11 +27,11 @@ use crate::derived::Derived;
 /// Header line of the serialized certificate; bump on breaking changes.
 pub const CERT_FORMAT: &str = "canvas-cert/1";
 
-/// 64-bit FNV-1a, the digest used throughout the certificate format.
-///
-/// Independent of (but identical in output to) the fingerprint hasher in
-/// `canvas-incr`: the checker must not depend on engine-side crates, so the
-/// forty lines are duplicated rather than shared.
+/// 64-bit FNV-1a, the digest used throughout the certificate format and
+/// the workspace's one byte-wise FNV-1a: `canvas-incr`'s fingerprint hasher
+/// and the delta re-solve's edge digests are built on it. This crate is
+/// already a dependency of both, so sharing it adds nothing to the
+/// checker's trusted base.
 #[derive(Clone, Debug)]
 pub struct Digest(u64);
 
@@ -87,15 +87,13 @@ pub fn digest_str(s: &str) -> u64 {
     d.finish()
 }
 
-/// A digest of the derived abstraction's observable content (families and
-/// statement abstractions). Binds a certificate to the exact abstraction the
-/// checker will replay with; the `Debug` form is deterministic.
+/// A digest of the derived abstraction's observable content (spec name,
+/// families and statement abstractions). Binds a certificate to the exact
+/// abstraction the checker will replay with. Computed once, by
+/// [`Derived::new`]: a `Derived` is immutable, so the digest cannot go
+/// stale.
 pub fn derived_digest(d: &Derived) -> u64 {
-    let mut h = Digest::new();
-    h.write_str(d.spec_name());
-    h.write_str(&format!("{:?}", d.families()));
-    h.write_str(&format!("{:?}", d.stmt_abstractions()));
-    h.finish()
+    d.digest()
 }
 
 /// A digest of a boolean program's replay-relevant structure: predicate

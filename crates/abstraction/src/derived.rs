@@ -13,6 +13,8 @@ use std::fmt;
 
 use canvas_logic::{Formula, PredId, TypeName, Var};
 
+use crate::certificate::Digest;
+
 /// Identifier of a [`Family`] in [`Derived::families`].
 ///
 /// Family ids are dense [`PredId`]s: `id.index()` is the family's position
@@ -237,6 +239,8 @@ pub struct Derived {
     families: Vec<Family>,
     stmts: Vec<StmtAbstraction>,
     stats: DerivationStats,
+    // computed once here: the fields it covers are private and never change
+    digest: u64,
 }
 
 impl Derived {
@@ -247,7 +251,17 @@ impl Derived {
         stmts: Vec<StmtAbstraction>,
         stats: DerivationStats,
     ) -> Derived {
-        Derived { spec_name, families, stmts, stats }
+        // the `Debug` forms are deterministic
+        let mut h = Digest::new();
+        h.write_str(&spec_name);
+        h.write_str(&format!("{families:?}"));
+        h.write_str(&format!("{stmts:?}"));
+        Derived { spec_name, families, stmts, stats, digest: h.finish() }
+    }
+
+    /// The digest behind [`crate::certificate::derived_digest`].
+    pub(crate) fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// The specification this abstraction was derived from.

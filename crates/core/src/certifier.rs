@@ -302,34 +302,10 @@ impl Certifier {
         prepared: &PreparedProgram,
         engine: Engine,
     ) -> Result<Report, CertifyError> {
-        if engine == Engine::ScmpInterproc {
-            return self.certify(program, engine);
-        }
-        let main = program.main_method().ok_or(CertifyError::NoMain)?;
-        let mut report = self.certify_method_shared(
-            program,
-            main,
-            engine,
-            EntryAssumption::Clean,
-            prepared.shared(main, EntryAssumption::Clean),
-        )?;
-        for m in program.methods() {
-            if m.id == main.id {
-                continue;
-            }
-            let r = self.certify_method_shared(
-                program,
-                m,
-                engine,
-                EntryAssumption::Unknown,
-                prepared.shared(m, EntryAssumption::Unknown),
-            )?;
-            // any inconclusive method makes the whole program inconclusive
-            // (first reason wins; the others are duplicates in practice)
-            report.merge(r);
-        }
-        report.normalize();
-        Ok(report)
+        walk_program(program, engine, |method, entry| {
+            let shared = prepared.shared(method, entry);
+            Ok(self.certify_method_shared(program, method, engine, entry, shared, None)?.0)
+        })
     }
 
     /// Inlines every client call into `main` (non-recursive programs only)
@@ -362,12 +338,22 @@ impl Certifier {
         engine: Engine,
         entry: EntryAssumption,
     ) -> Result<Report, CertifyError> {
-        self.certify_method_shared(program, method, engine, entry, &SharedTransforms::new())
+        let shared = SharedTransforms::new();
+        Ok(self.certify_method_shared(program, method, engine, entry, &shared, None)?.0)
     }
 
-    /// Like [`Certifier::certify_method`], but reuses `shared`'s transform
-    /// caches, so engines analysing the same `(method, entry)` pair compute
-    /// the boolean program and the TVP translations only once.
+    /// Certifies one method under `entry`, reusing `shared`'s transform
+    /// caches (engines analysing the same `(method, entry)` pair compute
+    /// the boolean program and the TVP translations only once). Returns the
+    /// report and the engine's fixpoint solution, when it emitted one (the
+    /// boolean SCMP engines on conclusive runs).
+    ///
+    /// `fds_seed` optionally seeds the FDS engine's fixpoint from a cached
+    /// solution of an earlier version of the method (within-method delta
+    /// re-solve — see [`canvas_dataflow::delta`]). Engines other than FDS
+    /// ignore the seed; a seed that fails validation falls back to a cold
+    /// solve, so the result is always the same fixpoint a cold run
+    /// computes.
     ///
     /// # Errors
     ///
@@ -379,7 +365,8 @@ impl Certifier {
         engine: Engine,
         entry: EntryAssumption,
         shared: &SharedTransforms,
-    ) -> Result<Report, CertifyError> {
+        fds_seed: Option<&canvas_dataflow::DeltaSeed>,
+    ) -> Result<(Report, Option<CellSolution>), CertifyError> {
         let start = Instant::now();
         // the guard (not the format!) is what must be cheap when tracing is off
         let _trace = canvas_telemetry::trace::tracing().then(|| {
@@ -399,80 +386,13 @@ impl Certifier {
             budget: self.budget,
             explain: self.explain,
             shared,
-            fds_seed: None,
+            fds_seed,
         };
         // Isolation layer: a panicking engine must not take down the caller
         // (one method of one suite case, or one request of a service). The
         // panic surfaces as a structured `CertifyError::Panicked` instead.
         let _solve_phase = canvas_telemetry::phase::SOLVE.span();
         let run = catch_unwind(AssertUnwindSafe(|| engine.info().run(&cx)));
-        let mut report = match run {
-            Ok(result) => result?,
-            Err(payload) => {
-                return Err(CertifyError::Panicked {
-                    engine,
-                    message: panic_message(payload.as_ref()),
-                })
-            }
-        };
-        report.stats.duration = start.elapsed();
-        report.normalize();
-        Ok(report)
-    }
-
-    /// Like [`Certifier::certify_method_shared`], but also returns the
-    /// certificate cell carrying the engine's fixpoint solution, when the
-    /// engine emits one (the boolean SCMP engines on conclusive runs).
-    ///
-    /// # Errors
-    ///
-    /// As [`Certifier::certify`].
-    pub fn certify_method_shared_certified(
-        &self,
-        program: &Program,
-        method: &MethodIr,
-        engine: Engine,
-        entry: EntryAssumption,
-        shared: &SharedTransforms,
-    ) -> Result<(Report, Option<CertCell>), CertifyError> {
-        self.certify_method_shared_certified_seeded(program, method, engine, entry, shared, None)
-    }
-
-    /// Like [`Certifier::certify_method_shared_certified`], but optionally
-    /// seeding the FDS engine's fixpoint from a cached solution of an
-    /// earlier version of the method (within-method delta re-solve — see
-    /// [`canvas_dataflow::delta`]). Engines other than FDS ignore the
-    /// seed; a seed that fails validation falls back to a cold solve, so
-    /// the result is always the same fixpoint a cold run computes.
-    ///
-    /// # Errors
-    ///
-    /// As [`Certifier::certify`].
-    pub fn certify_method_shared_certified_seeded(
-        &self,
-        program: &Program,
-        method: &MethodIr,
-        engine: Engine,
-        entry: EntryAssumption,
-        shared: &SharedTransforms,
-        fds_seed: Option<&canvas_dataflow::DeltaSeed>,
-    ) -> Result<(Report, Option<CertCell>), CertifyError> {
-        let start = Instant::now();
-        let cx = MethodContext {
-            program,
-            method,
-            spec: &self.spec,
-            derived: &self.derived,
-            entry,
-            relational_budget: self.relational_budget,
-            tvla_budget: self.tvla_budget,
-            budget: self.budget,
-            explain: self.explain,
-            shared,
-            fds_seed,
-        };
-        let _solve_phase = canvas_telemetry::phase::SOLVE.span();
-        let run = catch_unwind(AssertUnwindSafe(|| engine.info().run_certified(&cx)));
         let (mut report, solution) = match run {
             Ok(result) => result?,
             Err(payload) => {
@@ -484,18 +404,7 @@ impl Certifier {
         };
         report.stats.duration = start.elapsed();
         report.normalize();
-        let cell = solution.map(|solution| {
-            // the engine ran on cx.boolprog(), so this re-read is a cache hit
-            let bp = cx.boolprog();
-            CertCell {
-                method: method.qualified_name(),
-                entry,
-                preds: bp.preds.len() as u32,
-                bp_digest: bp_digest(bp),
-                solution,
-            }
-        });
-        Ok((report, cell))
+        Ok((report, solution))
     }
 
     /// Whole-program certification that also emits a replayable
@@ -519,59 +428,53 @@ impl Certifier {
         engine: Engine,
     ) -> Result<(Report, Certificate), CertifyError> {
         let prepared = PreparedProgram::new(program);
+        self.certify_with_cells(source, program, engine, |method, entry| {
+            let shared = prepared.shared(method, entry);
+            let (report, solution) =
+                self.certify_method_shared(program, method, engine, entry, shared, None)?;
+            Ok((report, solved_cell(method, entry, shared, solution)))
+        })
+    }
+
+    /// The [`walk_program`] behind every certificate-emitting entry point,
+    /// cached or not, and the one place a [`Certificate`] is assembled.
+    /// `cell` certifies one `(method, entry)` cell and returns its solution
+    /// cell, if any; a cell without one is recorded as `unavailable`, and
+    /// an engine that never emits solutions gets one whole-program
+    /// `unavailable` cell instead.
+    ///
+    /// # Errors
+    ///
+    /// As [`walk_program`].
+    pub fn certify_with_cells<F>(
+        &self,
+        source: &str,
+        program: &Program,
+        engine: Engine,
+        mut cell: F,
+    ) -> Result<(Report, Certificate), CertifyError>
+    where
+        F: FnMut(&MethodIr, EntryAssumption) -> Result<(Report, Option<CertCell>), CertifyError>,
+    {
+        let unsupported = engine.certificate_unsupported();
         let mut cells = Vec::new();
-        let report = if let Some(reason) = engine.info().certificate_unsupported() {
-            let report = self.certify_program_prepared(program, &prepared, engine)?;
-            cells.push(CertCell {
-                method: "<whole-program>".to_string(),
-                entry: EntryAssumption::Clean,
-                preds: 0,
-                bp_digest: 0,
-                solution: CellSolution::Unavailable { reason: reason.to_string() },
-            });
-            report
-        } else {
-            let main = program.main_method().ok_or(CertifyError::NoMain)?;
-            let mut push =
-                |report: &Report, cell: Option<CertCell>, m: &MethodIr, entry: EntryAssumption| {
-                    cells.push(cell.unwrap_or_else(|| CertCell {
-                        method: m.qualified_name(),
-                        entry,
-                        preds: 0,
-                        bp_digest: 0,
-                        solution: CellSolution::Unavailable {
-                            reason: format!(
-                                "inconclusive run ({}): no post-fixpoint reached",
-                                report.verdict.reason().unwrap_or("budget exhausted")
-                            ),
-                        },
-                    }));
-                };
-            let (mut report, cell) = self.certify_method_shared_certified(
-                program,
-                main,
-                engine,
-                EntryAssumption::Clean,
-                prepared.shared(main, EntryAssumption::Clean),
-            )?;
-            push(&report, cell, main, EntryAssumption::Clean);
-            for m in program.methods() {
-                if m.id == main.id {
-                    continue;
-                }
-                let (r, cell) = self.certify_method_shared_certified(
-                    program,
-                    m,
-                    engine,
-                    EntryAssumption::Unknown,
-                    prepared.shared(m, EntryAssumption::Unknown),
-                )?;
-                push(&r, cell, m, EntryAssumption::Unknown);
-                report.merge(r);
+        let report = walk_program(program, engine, |method, entry| {
+            let (report, solved) = cell(method, entry)?;
+            if unsupported.is_none() {
+                cells.push(solved.unwrap_or_else(|| {
+                    let reason = format!(
+                        "inconclusive run ({}): no post-fixpoint reached",
+                        report.verdict.reason().unwrap_or("budget exhausted")
+                    );
+                    unavailable_cell(method.qualified_name(), entry, reason)
+                }));
             }
-            report.normalize();
-            report
-        };
+            Ok(report)
+        })?;
+        if let Some(reason) = unsupported {
+            let whole = "<whole-program>".to_string();
+            cells.push(unavailable_cell(whole, EntryAssumption::Clean, reason.to_string()));
+        }
         let certificate = Certificate {
             engine: engine.to_string(),
             spec: self.spec.name().to_string(),
@@ -590,6 +493,72 @@ impl Certifier {
                 .collect(),
         };
         Ok((report, certificate))
+    }
+}
+
+/// The whole-program walk behind every `certify_program*` entry point,
+/// cached or not, plain or certificate-emitting. The interprocedural engine
+/// analyses the call graph from `main`, so it is one `(main, clean)` cell;
+/// every other engine analyses `main` with clean entry, then every other
+/// method out of context, and the reports are merged. `cell` certifies one
+/// `(method, entry)` cell.
+///
+/// # Errors
+///
+/// [`CertifyError::NoMain`] without an entry point, or the first error
+/// `cell` returns.
+pub fn walk_program<F>(
+    program: &Program,
+    engine: Engine,
+    mut cell: F,
+) -> Result<Report, CertifyError>
+where
+    F: FnMut(&MethodIr, EntryAssumption) -> Result<Report, CertifyError>,
+{
+    let main = program.main_method().ok_or(CertifyError::NoMain)?;
+    if engine == Engine::ScmpInterproc {
+        return cell(main, EntryAssumption::Clean);
+    }
+    let mut report = cell(main, EntryAssumption::Clean)?;
+    for m in program.methods() {
+        if m.id != main.id {
+            // any inconclusive method makes the whole program inconclusive
+            // (first reason wins; the others are duplicates in practice)
+            report.merge(cell(m, EntryAssumption::Unknown)?);
+        }
+    }
+    report.normalize();
+    Ok(report)
+}
+
+/// The certificate cell of one run's fixpoint `solution`, bound to the
+/// boolean program it solves; `None` when the run emitted no solution.
+pub fn solved_cell(
+    method: &MethodIr,
+    entry: EntryAssumption,
+    shared: &SharedTransforms,
+    solution: Option<CellSolution>,
+) -> Option<CertCell> {
+    let solution = solution?;
+    // the engine solved the shared boolean program, so it is cached
+    let bp = shared.cached_boolprog()?;
+    Some(CertCell {
+        method: method.qualified_name(),
+        entry,
+        preds: bp.preds.len() as u32,
+        bp_digest: bp_digest(bp),
+        solution,
+    })
+}
+
+/// A cell `canvas-check` rejects as uncheckable, saying why.
+fn unavailable_cell(method: String, entry: EntryAssumption, reason: String) -> CertCell {
+    CertCell {
+        method,
+        entry,
+        preds: 0,
+        bp_digest: 0,
+        solution: CellSolution::Unavailable { reason },
     }
 }
 

@@ -215,38 +215,24 @@ pub trait AnalysisEngine: Sync {
     fn specialized(&self) -> bool {
         true
     }
-    /// Analyses one method and reports the potential violations.
+    /// Analyses one method and reports the potential violations, plus the
+    /// fixpoint solution as a certificate payload when the engine can
+    /// express one.
     ///
-    /// When the shared resource governor (`cx.budget`) trips, engines return
-    /// `Ok` with an inconclusive report rather than an error: degraded, not
-    /// broken.
+    /// Only the boolean SCMP engines (FDS, relational) return a solution.
+    /// `None` also covers inconclusive runs: a budget-tripped fixpoint is
+    /// not a post-fixpoint and must not be shipped as one. When the shared
+    /// resource governor (`cx.budget`) trips, engines return `Ok` with an
+    /// inconclusive report rather than an error: degraded, not broken.
     ///
     /// # Errors
     ///
     /// [`CertifyError::StateBudget`] when a relational engine exceeds its
     /// own state budget; engines must not fail otherwise.
-    fn run(&self, cx: &MethodContext<'_>) -> Result<Report, CertifyError>;
+    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError>;
 
-    /// Like [`AnalysisEngine::run`], but additionally returns the fixpoint
-    /// solution as a certificate payload when the engine can express one.
-    ///
-    /// The default keeps the report and returns no solution; the boolean
-    /// SCMP engines (FDS, relational) override it. `None` also covers
-    /// inconclusive runs — a budget-tripped fixpoint is not a post-fixpoint
-    /// and must not be shipped as one.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AnalysisEngine::run`].
-    fn run_certified(
-        &self,
-        cx: &MethodContext<'_>,
-    ) -> Result<(Report, Option<CellSolution>), CertifyError> {
-        Ok((self.run(cx)?, None))
-    }
-
-    /// When [`AnalysisEngine::run_certified`] never produces a solution,
-    /// the human-readable reason (recorded in the certificate as an
+    /// When [`AnalysisEngine::run`] never produces a solution, the
+    /// human-readable reason (recorded in the certificate as an
     /// `unavailable` cell, which the checker rejects as uncheckable).
     fn certificate_unsupported(&self) -> Option<&'static str> {
         Some("engine does not emit a replayable fixpoint solution")
@@ -291,14 +277,7 @@ impl AnalysisEngine for ScmpFdsEngine {
         "fds"
     }
 
-    fn run(&self, cx: &MethodContext<'_>) -> Result<Report, CertifyError> {
-        Ok(self.run_certified(cx)?.0)
-    }
-
-    fn run_certified(
-        &self,
-        cx: &MethodContext<'_>,
-    ) -> Result<(Report, Option<CellSolution>), CertifyError> {
+    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
         let bp = cx.boolprog();
         let gov = Meter::new(cx.budget);
         let inconclusive = |ex: canvas_faults::Exhaustion| {
@@ -386,14 +365,7 @@ impl AnalysisEngine for ScmpRelationalEngine {
         "rel"
     }
 
-    fn run(&self, cx: &MethodContext<'_>) -> Result<Report, CertifyError> {
-        Ok(self.run_certified(cx)?.0)
-    }
-
-    fn run_certified(
-        &self,
-        cx: &MethodContext<'_>,
-    ) -> Result<(Report, Option<CellSolution>), CertifyError> {
+    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
         use canvas_dataflow::relational::RelStop;
         let bp = cx.boolprog();
         let gov = Meter::new(cx.budget);
@@ -487,7 +459,7 @@ impl AnalysisEngine for ScmpInterprocEngine {
         "inter"
     }
 
-    fn run(&self, cx: &MethodContext<'_>) -> Result<Report, CertifyError> {
+    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
         let gov = Meter::new(cx.budget);
         let res = if cx.explain {
             canvas_dataflow::interproc::analyze_explained_with(
@@ -499,14 +471,11 @@ impl AnalysisEngine for ScmpInterprocEngine {
         let res = match res {
             Ok(res) => res,
             Err(ex) => {
-                return Ok(Report::inconclusive(
-                    self.id(),
-                    ex.reason(),
-                    Stats { exhausted: true, ..Stats::default() },
-                ))
+                let stats = Stats { exhausted: true, ..Stats::default() };
+                return Ok((Report::inconclusive(self.id(), ex.reason(), stats), None));
             }
         };
-        Ok(Report {
+        let report = Report {
             engine: self.id(),
             violations: res.violations.iter().map(|v| cx.violation_witnessed(v)).collect(),
             stats: Stats {
@@ -516,7 +485,8 @@ impl AnalysisEngine for ScmpInterprocEngine {
                 ..Stats::default()
             },
             verdict: Default::default(),
-        })
+        };
+        Ok((report, None))
     }
 }
 
@@ -537,8 +507,10 @@ impl AnalysisEngine for TvlaRelationalEngine {
         "tvla-r"
     }
 
-    fn run(&self, cx: &MethodContext<'_>) -> Result<Report, CertifyError> {
-        Ok(run_tvla(cx, self.id(), cx.tvp_specialized(), canvas_tvla::EngineMode::Relational))
+    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
+        let report =
+            run_tvla(cx, self.id(), cx.tvp_specialized(), canvas_tvla::EngineMode::Relational);
+        Ok((report, None))
     }
 }
 
@@ -559,13 +531,9 @@ impl AnalysisEngine for TvlaIndependentEngine {
         "tvla-i"
     }
 
-    fn run(&self, cx: &MethodContext<'_>) -> Result<Report, CertifyError> {
-        Ok(run_tvla(
-            cx,
-            self.id(),
-            cx.tvp_specialized(),
-            canvas_tvla::EngineMode::IndependentAttribute,
-        ))
+    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
+        let mode = canvas_tvla::EngineMode::IndependentAttribute;
+        Ok((run_tvla(cx, self.id(), cx.tvp_specialized(), mode), None))
     }
 }
 
@@ -590,8 +558,8 @@ impl AnalysisEngine for GenericSsgRelationalEngine {
         false
     }
 
-    fn run(&self, cx: &MethodContext<'_>) -> Result<Report, CertifyError> {
-        Ok(run_tvla(cx, self.id(), cx.tvp_generic(), canvas_tvla::EngineMode::Relational))
+    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
+        Ok((run_tvla(cx, self.id(), cx.tvp_generic(), canvas_tvla::EngineMode::Relational), None))
     }
 }
 
@@ -615,8 +583,9 @@ impl AnalysisEngine for GenericSsgIndependentEngine {
         false
     }
 
-    fn run(&self, cx: &MethodContext<'_>) -> Result<Report, CertifyError> {
-        Ok(run_tvla(cx, self.id(), cx.tvp_generic(), canvas_tvla::EngineMode::IndependentAttribute))
+    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
+        let mode = canvas_tvla::EngineMode::IndependentAttribute;
+        Ok((run_tvla(cx, self.id(), cx.tvp_generic(), mode), None))
     }
 }
 
@@ -640,7 +609,7 @@ impl AnalysisEngine for GenericAllocSiteEngine {
         false
     }
 
-    fn run(&self, cx: &MethodContext<'_>) -> Result<Report, CertifyError> {
+    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
         canvas_faults::solver_abort();
         // The alloc-site baseline is a single linear pass, so account its
         // whole cost up front: one step per CFG edge (plus one so an empty
@@ -648,11 +617,8 @@ impl AnalysisEngine for GenericAllocSiteEngine {
         let gov = Meter::new(cx.budget);
         for _ in 0..=cx.method.cfg.edges().len() {
             if let Err(ex) = gov.tick() {
-                return Ok(Report::inconclusive(
-                    self.id(),
-                    ex.reason(),
-                    Stats { exhausted: true, ..Stats::default() },
-                ));
+                let stats = Stats { exhausted: true, ..Stats::default() };
+                return Ok((Report::inconclusive(self.id(), ex.reason(), stats), None));
             }
         }
         let res = canvas_heap::allocsite_analyze_with_entry(
@@ -671,12 +637,13 @@ impl AnalysisEngine for GenericAllocSiteEngine {
                 cx.violation(s)
             }
         };
-        Ok(Report {
+        let report = Report {
             engine: self.id(),
             violations: res.violations.iter().map(violation).collect(),
             stats: Stats { work: res.edge_visits, max_states: 1, ..Stats::default() },
             verdict: Default::default(),
-        })
+        };
+        Ok((report, None))
     }
 }
 

@@ -41,6 +41,7 @@
 //! only under store corruption that happens to be transfer-closed) still
 //! yields a sound post-fixpoint, i.e. a conservative verdict.
 
+use canvas_abstraction::certificate::Digest;
 use canvas_abstraction::{BoolEdge, BoolProgram, Operand, Rhs};
 use canvas_faults::{Exhaustion, Meter};
 
@@ -66,44 +67,27 @@ pub fn note_fallback() {
     );
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-}
-
 /// A content digest of an edge's parallel assignment (destination,
 /// right-hand-side shape, operands), independent of the edge's endpoints.
 pub fn edge_digest(e: &BoolEdge) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(e.assigns.len() as u64);
+    let mut h = Digest::new();
+    h.write_u64(e.assigns.len() as u64);
     for (dst, rhs) in &e.assigns {
-        h.u64(*dst as u64);
+        h.write_u64(*dst as u64);
         match rhs {
-            Rhs::Havoc => h.u64(u64::MAX),
+            Rhs::Havoc => h.write_u64(u64::MAX),
             Rhs::Disj(ops) => {
-                h.u64(ops.len() as u64);
+                h.write_u64(ops.len() as u64);
                 for op in ops {
                     match op {
-                        Operand::Const(c) => h.u64(2 + u64::from(*c)),
-                        Operand::Var(v) => h.u64(4 + 8 * *v as u64),
+                        Operand::Const(c) => h.write_u64(2 + u64::from(*c)),
+                        Operand::Var(v) => h.write_u64(4 + 8 * *v as u64),
                     }
                 }
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 /// One edge of a cached boolean program: endpoints plus the assignment

@@ -33,10 +33,10 @@ use canvas_incr::json::{obj, Json};
 use canvas_incr::store::CertCache;
 use canvas_incr::{IncrementalCertifier, RunCacheStats};
 use canvas_minijava::Program;
-use canvas_telemetry::Counter;
+use canvas_telemetry::{Counter, Histogram};
 
 use crate::manifest::FleetItem;
-use crate::report::{FleetCacheTraffic, FleetReport, LatencyHist, ShardRow};
+use crate::report::{FleetCacheTraffic, FleetReport, ShardRow};
 
 static FLEET_PROGRAMS: Counter = Counter::new("fleet.programs");
 static FLEET_VIOLATING: Counter = Counter::new("fleet.programs_violating");
@@ -101,7 +101,6 @@ enum Outcome {
 
 /// Per-shard shared state (written by whichever worker processes the
 /// shard's programs, read once at aggregation).
-#[derive(Default)]
 struct ShardState {
     processed: AtomicU64,
     stolen: AtomicU64,
@@ -110,7 +109,7 @@ struct ShardState {
     misses: AtomicU64,
     delta_seeded: AtomicU64,
     dead: AtomicBool,
-    hist: Mutex<LatencyHist>,
+    latency: Histogram,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -332,7 +331,18 @@ pub fn run_fleet(items: &[FleetItem], cfg: &FleetConfig) -> Result<FleetReport, 
     }
 
     let slots: Vec<Mutex<Option<Outcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let states: Vec<ShardState> = (0..shards).map(|_| ShardState::default()).collect();
+    let states: Vec<ShardState> = (0..shards)
+        .map(|_| ShardState {
+            processed: AtomicU64::new(0),
+            stolen: AtomicU64::new(0),
+            poisoned: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            delta_seeded: AtomicU64::new(0),
+            dead: AtomicBool::new(false),
+            latency: Histogram::new("fleet.shard_latency_ns"),
+        })
+        .collect();
 
     std::thread::scope(|scope| {
         for w in 0..shards {
@@ -387,7 +397,7 @@ pub fn run_fleet(items: &[FleetItem], cfg: &FleetConfig) -> Result<FleetReport, 
                                 (None, None) => unreachable!("remote mode always has a connection"),
                             }));
                         let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                        lock(&state.hist).record(ns);
+                        state.latency.record_value(ns);
                         let outcome = match contained {
                             Ok((outcome, stats)) => {
                                 state.hits.fetch_add(stats.hits, Ordering::Relaxed);
@@ -528,7 +538,7 @@ pub fn run_fleet(items: &[FleetItem], cfg: &FleetConfig) -> Result<FleetReport, 
             hits: state.hits.load(Ordering::Relaxed),
             misses: state.misses.load(Ordering::Relaxed),
             delta_seeded: state.delta_seeded.load(Ordering::Relaxed),
-            latency: lock(&state.hist).clone(),
+            latency: state.latency.stat(),
         });
     }
 

@@ -58,7 +58,7 @@ pub mod report;
 pub use driver::{exit_code, run_fleet, FleetConfig};
 pub use gen::{generate, generate_with_threads, GenParams, GeneratedProgram};
 pub use manifest::{load_corpus, write_corpus, FleetItem, Manifest};
-pub use report::{FleetCacheTraffic, FleetReport, LatencyHist, ShardRow};
+pub use report::{FleetCacheTraffic, FleetReport, ShardRow};
 
 #[cfg(test)]
 mod tests {
@@ -79,6 +79,13 @@ mod tests {
 
     fn cmp_config(shards: usize) -> FleetConfig {
         FleetConfig::local(canvas_easl::builtin::cmp(), "cmp", Engine::ScmpFds, shards)
+    }
+
+    /// Held by every test that runs a fleet: a forced fault is process
+    /// global, so the shard-death test must not kill another test's worker.
+    fn fleet_runs() -> std::sync::MutexGuard<'static, ()> {
+        static FLEET_RUNS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        FLEET_RUNS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Satellite: same seed + params ⇒ byte-identical program set and the
@@ -107,6 +114,7 @@ mod tests {
     /// ground truth holds corpus-wide.
     #[test]
     fn fleet_run_is_deterministic_across_shard_counts() {
+        let _serial = fleet_runs();
         let params = GenParams { programs: 24, seed: 5, ..GenParams::default() };
         let corpus = generate_with_threads(&params, 2).expect("generation succeeds");
         let items = items_of(&corpus);
@@ -134,6 +142,7 @@ mod tests {
     /// exactly.
     #[test]
     fn warm_rerun_recomputes_nothing_and_reproduces_the_digest() {
+        let _serial = fleet_runs();
         let params = GenParams { programs: 12, seed: 21, ..GenParams::default() };
         let corpus = generate_with_threads(&params, 1).expect("generation succeeds");
         let items = items_of(&corpus);
@@ -161,6 +170,7 @@ mod tests {
     /// completed by the surviving shards.
     #[test]
     fn shard_death_poisons_only_the_dead_shard() {
+        let _serial = fleet_runs();
         let params = GenParams { programs: 16, seed: 8, ..GenParams::default() };
         let corpus = generate_with_threads(&params, 1).expect("generation succeeds");
         let items = items_of(&corpus);

@@ -13,72 +13,13 @@ use std::time::Duration;
 
 use canvas_incr::fingerprint::Fingerprint;
 use canvas_incr::json::{obj, Json};
+use canvas_telemetry::HistogramStat;
 
 /// The `canvas fleet` JSON format tag.
 pub const REPORT_FORMAT: &str = "canvas-bench-fleet/1";
 
-/// A small log2-bucketed latency histogram (nanosecond samples).
-///
-/// The telemetry crate's histograms are process-global statics; per-shard
-/// latency needs a value type, so the fleet keeps its own.
-#[derive(Clone, Debug)]
-pub struct LatencyHist {
-    buckets: [u64; 64],
-    count: u64,
-    total_ns: u64,
-    max_ns: u64,
-}
-
-impl Default for LatencyHist {
-    fn default() -> LatencyHist {
-        LatencyHist { buckets: [0; 64], count: 0, total_ns: 0, max_ns: 0 }
-    }
-}
-
-impl LatencyHist {
-    /// Records one nanosecond sample.
-    pub fn record(&mut self, ns: u64) {
-        let bucket = (64 - ns.leading_zeros() as usize).min(63);
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.total_ns = self.total_ns.saturating_add(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Upper bound (ns) of the bucket containing quantile `q` in `[0,1]`.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if i >= 63 { u64::MAX } else { (1u64 << i) - 1 };
-            }
-        }
-        self.max_ns
-    }
-
-    /// Mean sample (ns).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Largest sample (ns).
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-}
-
 /// Per-shard outcome row.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ShardRow {
     /// Shard index.
     pub shard: usize,
@@ -97,8 +38,8 @@ pub struct ShardRow {
     pub misses: u64,
     /// Misses seeded from a stale entry's fixpoint (delta re-solve).
     pub delta_seeded: u64,
-    /// Per-program latency distribution.
-    pub latency: LatencyHist,
+    /// Per-program latency distribution (nanoseconds).
+    pub latency: HistogramStat,
 }
 
 /// Certificate-cache traffic over the whole fleet run.
@@ -215,9 +156,9 @@ impl FleetReport {
                 r.poisoned_programs,
                 r.hits,
                 r.misses,
-                r.latency.quantile_ns(0.50) / 1_000,
-                r.latency.quantile_ns(0.99) / 1_000,
-                r.latency.max_ns() / 1_000,
+                r.latency.p50 / 1_000,
+                r.latency.p99 / 1_000,
+                r.latency.max / 1_000,
                 if r.dead { "yes" } else { "no" }
             ));
         }
@@ -287,11 +228,11 @@ impl FleetReport {
                                         ("hits", Json::Int(r.hits)),
                                         ("misses", Json::Int(r.misses)),
                                         ("delta_seeded", Json::Int(r.delta_seeded)),
-                                        ("p50_us", Json::Int(r.latency.quantile_ns(0.50) / 1_000)),
-                                        ("p90_us", Json::Int(r.latency.quantile_ns(0.90) / 1_000)),
-                                        ("p99_us", Json::Int(r.latency.quantile_ns(0.99) / 1_000)),
-                                        ("max_us", Json::Int(r.latency.max_ns() / 1_000)),
-                                        ("mean_us", Json::Int(r.latency.mean_ns() / 1_000)),
+                                        ("p50_us", Json::Int(r.latency.p50 / 1_000)),
+                                        ("p90_us", Json::Int(r.latency.p90 / 1_000)),
+                                        ("p99_us", Json::Int(r.latency.p99 / 1_000)),
+                                        ("max_us", Json::Int(r.latency.max / 1_000)),
+                                        ("mean_us", Json::Int(mean_us(&r.latency))),
                                     ])
                                 })
                                 .collect(),
@@ -303,28 +244,32 @@ impl FleetReport {
     }
 }
 
+/// The mean of a nanosecond histogram, in microseconds.
+fn mean_us(latency: &HistogramStat) -> u64 {
+    latency.sum.checked_div(latency.count).unwrap_or(0) / 1_000
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canvas_telemetry::Histogram;
 
     #[test]
-    fn latency_hist_quantiles_are_monotone() {
-        let mut h = LatencyHist::default();
+    fn shard_latency_quantiles_are_monotone() {
+        let h = Histogram::new("fleet.shard_latency_ns");
         for ns in [100u64, 200, 400, 800, 1_600, 3_200, 640_000] {
-            h.record(ns);
+            h.record_value(ns);
         }
-        assert_eq!(h.count(), 7);
-        let p50 = h.quantile_ns(0.50);
-        let p99 = h.quantile_ns(0.99);
-        assert!(p50 <= p99, "{p50} <= {p99}");
-        assert!(h.max_ns() >= 640_000);
-        assert!(h.mean_ns() > 0);
+        let latency = h.stat();
+        assert_eq!(latency.count, 7);
+        assert!(latency.p50 <= latency.p90 && latency.p90 <= latency.p99, "{latency:?}");
+        assert!(latency.max >= 640_000);
+        assert_eq!(mean_us(&latency), 92);
     }
 
     #[test]
-    fn empty_hist_is_all_zero() {
-        let h = LatencyHist::default();
-        assert_eq!(h.quantile_ns(0.99), 0);
-        assert_eq!(h.mean_ns(), 0);
+    fn empty_shard_latency_is_all_zero() {
+        let latency = Histogram::new("fleet.shard_latency_ns").stat();
+        assert_eq!((latency.p50, latency.p99, latency.max, mean_us(&latency)), (0, 0, 0, 0));
     }
 }

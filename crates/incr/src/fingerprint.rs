@@ -17,21 +17,22 @@
 //! * the engine and the budget/explain configuration.
 //!
 //! The interprocedural engine observes the whole program, so its key uses
-//! the whole-program fingerprint. The hash is a hand-rolled 64-bit FNV-1a
-//! (zero-dep, deterministic across runs and platforms); strings are
-//! length-prefixed so concatenation cannot alias.
+//! the whole-program fingerprint. The derived abstraction enters the key as
+//! its certificate digest ([`canvas_abstraction::derived_digest`]). The hash
+//! is the certificate format's 64-bit FNV-1a (deterministic across runs and
+//! platforms); strings are length-prefixed so concatenation cannot alias.
 
 use std::fmt;
 
+use canvas_abstraction::certificate::Digest;
 use canvas_core::{Certifier, Engine};
 use canvas_easl::Spec;
 use canvas_minijava::{AllocSite, Instr, MethodId, MethodIr, Program, VarId};
-use canvas_wp::Derived;
 
 /// Version of the key-derivation scheme; bumped whenever the canonical walk
 /// or the composition below changes, so stale stores miss instead of
 /// colliding.
-pub const KEY_VERSION: u32 = 1;
+pub const KEY_VERSION: u32 = 2;
 
 /// A 64-bit content fingerprint.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -53,47 +54,41 @@ impl Fingerprint {
     }
 }
 
-/// An incremental 64-bit FNV-1a hasher.
-#[derive(Clone, Debug)]
-pub struct Hasher64 {
-    state: u64,
-}
+/// An incremental 64-bit FNV-1a hasher producing [`Fingerprint`]s: the
+/// certificate format's [`Digest`], with the writers the canonical walk
+/// needs.
+#[derive(Clone, Debug, Default)]
+pub struct Hasher64(Digest);
 
 impl Hasher64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
     /// A fresh hasher at the FNV offset basis.
     pub fn new() -> Hasher64 {
-        Hasher64 { state: Self::OFFSET }
+        Hasher64(Digest::new())
     }
 
     /// Absorbs raw bytes.
     pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
+        self.0.write(bytes);
     }
 
     /// Absorbs a `u64` (little-endian).
     pub fn write_u64(&mut self, n: u64) {
-        self.write(&n.to_le_bytes());
+        self.0.write_u64(n);
     }
 
     /// Absorbs a `u32`.
     pub fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
+        self.0.write_u64(u64::from(n));
     }
 
     /// Absorbs a `usize`.
     pub fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
+        self.0.write_usize(n);
     }
 
     /// Absorbs a single tag byte (instruction/format discriminants).
     pub fn write_u8(&mut self, n: u8) {
-        self.write(&[n]);
+        self.0.write(&[n]);
     }
 
     /// Absorbs a boolean.
@@ -103,24 +98,17 @@ impl Hasher64 {
 
     /// Absorbs a length-prefixed string.
     pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write(s.as_bytes());
+        self.0.write_str(s);
     }
 
     /// Absorbs a previously computed fingerprint.
     pub fn write_fp(&mut self, fp: Fingerprint) {
-        self.write_u64(fp.0);
+        self.0.write_u64(fp.0);
     }
 
     /// The accumulated fingerprint.
     pub fn finish(&self) -> Fingerprint {
-        Fingerprint(self.state)
-    }
-}
-
-impl Default for Hasher64 {
-    fn default() -> Self {
-        Hasher64::new()
+        Fingerprint(self.0.finish())
     }
 }
 
@@ -131,16 +119,6 @@ pub fn fingerprint_spec(spec: &Spec) -> Fingerprint {
     let mut h = Hasher64::new();
     h.write_str(spec.name());
     h.write_str(&format!("{:?}", spec.classes()));
-    h.finish()
-}
-
-/// Fingerprint of the derived abstraction (families + statement
-/// abstractions + derivation stats). Fully determined by the spec in
-/// practice, but hashed separately so a derivation-algorithm change
-/// invalidates certificates even under an unchanged spec.
-pub fn fingerprint_derived(derived: &Derived) -> Fingerprint {
-    let mut h = Hasher64::new();
-    h.write_str(&format!("{derived:?}"));
     h.finish()
 }
 
@@ -454,7 +432,7 @@ pub fn fingerprint_manifest<'a>(
 }
 
 /// The cache key of one `(method, entry, engine)` cell: the method body,
-/// its dependency set, the spec + derived abstraction, the entry
+/// its dependency set, the spec + derived-abstraction digest, the entry
 /// assumption, and the engine/budget configuration.
 pub fn cell_key(
     method: Fingerprint,
@@ -612,6 +590,21 @@ class Main {
         assert_ne!(m1, fingerprint_manifest([("p1.mj", b), ("p0.mj", a)]), "order matters");
         assert_ne!(m1, fingerprint_manifest([("p0.mj", a)]), "length matters");
         assert_ne!(m1, fingerprint_manifest([("p0.mj", b), ("p1.mj", a)]), "contents matter");
+    }
+
+    #[test]
+    fn hasher64_is_the_certificate_digest() {
+        let mut h = Hasher64::new();
+        h.write_u64(0x0123_4567_89ab_cdef);
+        h.write_str("canvas");
+        h.write_u8(7);
+        let mut d = Digest::new();
+        d.write_u64(0x0123_4567_89ab_cdef);
+        d.write_str("canvas");
+        d.write(&[7]);
+        assert_eq!(h.finish(), Fingerprint(d.finish()));
+        // FNV-1a of the empty input is the offset basis
+        assert_eq!(Hasher64::new().finish(), Fingerprint(0xcbf2_9ce4_8422_2325));
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl Json {
     /// Returns a message with a byte offset on malformed input (including
     /// floats and negative numbers, which the schema never produces).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -170,6 +170,7 @@ fn escape_into(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -235,13 +236,25 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // copy the run of unescaped bytes up to the next delimiter as one
+            // slice: both delimiters are ASCII, so the run ends on a char
+            // boundary of the input
+            let rest = self.bytes.get(self.pos..).unwrap_or_default();
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            let unescaped = self
+                .text
+                .get(self.pos..self.pos + run)
+                .ok_or_else(|| format!("bad utf-8 at byte {}", self.pos))?;
+            out.push_str(unescaped);
+            self.pos += run;
             match self.bytes.get(self.pos) {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // the run stopped at a backslash
                     self.pos += 1;
                     match self.bytes.get(self.pos) {
                         Some(b'"') => out.push('"'),
@@ -266,14 +279,6 @@ impl Parser<'_> {
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // copy one UTF-8 scalar (the input is a valid &str)
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "bad utf-8".to_string())?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -420,6 +425,16 @@ mod tests {
         assert_eq!(Json::parse(&line), Ok(d));
         assert_eq!(Json::Obj(vec![]).render_compact(), "{}");
         assert_eq!(Json::Arr(vec![]).render_compact(), "[]");
+    }
+
+    #[test]
+    fn strings_with_multibyte_text_and_escapes_round_trip() {
+        let parsed = Json::parse(r#""é\"ü\\→\u00e9x\u0041\n✓""#).expect("parses");
+        assert_eq!(parsed, Json::Str("é\"ü\\→éxA\n✓".to_string()));
+        let big: String = (0..80_000).map(|k| ["é", "\"", "a", "→", "\\", "\n"][k % 6]).collect();
+        assert!(big.len() > 100_000);
+        let text = Json::Str(big.clone()).render_compact();
+        assert_eq!(Json::parse(&text), Ok(Json::Str(big)));
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! newline-delimited JSON on stdin/stdout, with a warm shared cache across
 //! concurrent requests.
 
-use canvas_abstraction::{
-    derived_digest, digest_str, CellSolution, CertCell, CertViolation, Certificate, EntryAssumption,
+use canvas_abstraction::{derived_digest, CellSolution, CertCell, Certificate, EntryAssumption};
+use canvas_core::{
+    solved_cell, walk_program, Certifier, CertifyError, Engine, PreparedProgram, Report, Witness,
 };
-use canvas_core::{Certifier, CertifyError, Engine, PreparedProgram, Report, Witness};
 use canvas_minijava::{MethodIr, Program};
 
 pub mod fingerprint;
@@ -30,8 +30,7 @@ pub mod service;
 pub mod store;
 
 use fingerprint::{
-    cell_key, fingerprint_config, fingerprint_derived, fingerprint_spec, Fingerprint, Hasher64,
-    ProgramFingerprints,
+    cell_key, fingerprint_config, fingerprint_spec, Fingerprint, Hasher64, ProgramFingerprints,
 };
 use store::{CachedReport, CertCache};
 
@@ -56,12 +55,11 @@ pub struct IncrementalCertifier {
     certifier: Certifier,
     cache: std::sync::Arc<CertCache>,
     spec_fp: Fingerprint,
-    derived_fp: Fingerprint,
 }
 
 impl IncrementalCertifier {
-    /// Wraps `certifier` with `cache` (fingerprints the spec and the
-    /// derived abstraction once, up front).
+    /// Wraps `certifier` with `cache` (fingerprints the spec once, up
+    /// front).
     pub fn new(certifier: Certifier, cache: CertCache) -> IncrementalCertifier {
         IncrementalCertifier::shared(certifier, std::sync::Arc::new(cache))
     }
@@ -70,8 +68,7 @@ impl IncrementalCertifier {
     /// serve daemon keeps one warm store across specs and requests).
     pub fn shared(certifier: Certifier, cache: std::sync::Arc<CertCache>) -> IncrementalCertifier {
         let spec_fp = fingerprint_spec(certifier.spec());
-        let derived_fp = fingerprint_derived(certifier.derived());
-        IncrementalCertifier { certifier, cache, spec_fp, derived_fp }
+        IncrementalCertifier { certifier, cache, spec_fp }
     }
 
     /// The wrapped certifier.
@@ -129,65 +126,10 @@ impl IncrementalCertifier {
         program: &Program,
         engine: Engine,
     ) -> Result<(Report, RunCacheStats), CertifyError> {
-        let fps = ProgramFingerprints::new(program);
-        let config_fp = fingerprint_config(&self.certifier, engine);
         let mut run = RunCacheStats::default();
-
-        // The interprocedural engine observes the whole program: one cell,
-        // keyed on the whole-program fingerprint.
-        if engine == Engine::ScmpInterproc {
-            let key = cell_key(
-                fps.program(),
-                fps.environment(),
-                self.spec_fp,
-                self.derived_fp,
-                config_fp,
-                false,
-            );
-            if let Some(hit) = self.cache.lookup(key, "<whole-program>", false, "scmp-interproc") {
-                run.hits += 1;
-                return Ok((hit.to_report(engine), run));
-            }
-            run.misses += 1;
-            let report = self.certifier.certify(program, engine)?;
-            if let Some(cert) = CachedReport::from_report(&report) {
-                self.cache.store(key, cert);
-            }
-            return Ok((report, run));
-        }
-
-        // Per-method cells, merged in the same order as
-        // `certify_program_prepared` so the aggregate report matches the
-        // uncached path byte for byte (modulo duration).
-        let main = program.main_method().ok_or(CertifyError::NoMain)?;
-        let prepared = PreparedProgram::new(program);
-        let mut report = self.certify_cell(
-            program,
-            &prepared,
-            &fps,
-            main,
-            engine,
-            EntryAssumption::Clean,
-            config_fp,
-            &mut run,
-        )?;
-        for m in program.methods() {
-            if m.id == main.id {
-                continue;
-            }
-            let r = self.certify_cell(
-                program,
-                &prepared,
-                &fps,
-                m,
-                engine,
-                EntryAssumption::Unknown,
-                config_fp,
-                &mut run,
-            )?;
-            report.merge(r);
-        }
-        report.normalize();
+        let mut cell = self.cell_fn(program, engine, &mut run);
+        let report =
+            walk_program(program, engine, move |method, entry| Ok(cell(method, entry)?.0))?;
         Ok((report, run))
     }
 
@@ -203,111 +145,6 @@ impl IncrementalCertifier {
     ) -> Result<(Report, RunCacheStats), CertifyError> {
         let program = Program::parse(src, self.certifier.spec())?;
         self.certify_program_cached_with_stats(&program, engine)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn certify_cell(
-        &self,
-        program: &Program,
-        prepared: &PreparedProgram,
-        fps: &ProgramFingerprints,
-        method: &MethodIr,
-        engine: Engine,
-        entry: EntryAssumption,
-        config_fp: Fingerprint,
-        run: &mut RunCacheStats,
-    ) -> Result<Report, CertifyError> {
-        Ok(self
-            .certify_cell_certified(
-                program, prepared, fps, method, engine, entry, config_fp, run, false,
-            )?
-            .0)
-    }
-
-    /// One cell, cached, optionally demanding the replayable certificate
-    /// cell. With `want_cert` a warm entry that predates solution storage
-    /// (or whose run emitted none) degrades to a miss and re-runs — the
-    /// store never serves a certificate it cannot back with a solution.
-    #[allow(clippy::too_many_arguments)]
-    fn certify_cell_certified(
-        &self,
-        program: &Program,
-        prepared: &PreparedProgram,
-        fps: &ProgramFingerprints,
-        method: &MethodIr,
-        engine: Engine,
-        entry: EntryAssumption,
-        config_fp: Fingerprint,
-        run: &mut RunCacheStats,
-        want_cert: bool,
-    ) -> Result<(Report, Option<CertCell>), CertifyError> {
-        let entry_unknown = entry == EntryAssumption::Unknown;
-        let key = cell_key(
-            fps.method(method.id),
-            fps.deps(method.id),
-            self.spec_fp,
-            self.derived_fp,
-            config_fp,
-            entry_unknown,
-        );
-        let engine_name = engine.to_string();
-        let (hit, stale) =
-            self.cache.lookup_stale(key, &method.qualified_name(), entry_unknown, &engine_name);
-        if let Some(hit) = hit {
-            if !want_cert || hit.cell.is_some() {
-                run.hits += 1;
-                let cell = hit.cell.as_ref().map(|c| CertCell {
-                    method: method.qualified_name(),
-                    entry,
-                    preds: c.preds,
-                    bp_digest: c.bp_digest,
-                    solution: c.solution.clone(),
-                });
-                return Ok((hit.to_report(engine), cell));
-            }
-        }
-        run.misses += 1;
-        // Within-method delta re-solve: an edit invalidated this cell, but
-        // the stale entry still holds the pre-edit fixpoint. When it carries
-        // both a may-be-1 solution and the recorded program shape, seed the
-        // FDS re-solve from it — the changed region is re-solved, the rest
-        // is carried (validated) — instead of restarting from ⊥.
-        let seed = match (engine, stale) {
-            (Engine::ScmpFds, Some(stale)) => stale.delta.and_then(|payload| {
-                let cell = stale.cell?;
-                match cell.solution {
-                    CellSolution::MayOne { nodes } => Some(canvas_dataflow::DeltaSeed {
-                        payload,
-                        preds: cell.preds,
-                        solution: nodes,
-                    }),
-                    _ => None,
-                }
-            }),
-            _ => None,
-        };
-        if seed.is_some() {
-            run.delta_seeded += 1;
-        }
-        let shared = prepared.shared(method, entry);
-        let (report, cell) = self.certifier.certify_method_shared_certified_seeded(
-            program,
-            method,
-            engine,
-            entry,
-            shared,
-            seed.as_ref(),
-        )?;
-        // inconclusive verdicts are budget/wall-clock-dependent: never cached
-        if let Some(mut cached) = CachedReport::from_certified(&report, cell.as_ref()) {
-            // capture the program shape next to the solution, so the *next*
-            // edit of this method can delta-seed from this run
-            if engine == Engine::ScmpFds {
-                cached.delta = shared.cached_boolprog().map(canvas_dataflow::DeltaPayload::of);
-            }
-            self.cache.store(key, cached);
-        }
-        Ok((report, cell))
     }
 
     /// Cached equivalent of [`Certifier::certify_with_certificate`]: the
@@ -326,91 +163,100 @@ impl IncrementalCertifier {
         engine: Engine,
     ) -> Result<(Report, Certificate, RunCacheStats), CertifyError> {
         let mut run = RunCacheStats::default();
-        let mut cells = Vec::new();
-        let report = if let Some(reason) = engine.certificate_unsupported() {
-            let (report, stats) = self.certify_program_cached_with_stats(program, engine)?;
-            run = stats;
-            cells.push(CertCell {
-                method: "<whole-program>".to_string(),
-                entry: EntryAssumption::Clean,
-                preds: 0,
-                bp_digest: 0,
-                solution: CellSolution::Unavailable { reason: reason.to_string() },
-            });
-            report
-        } else {
-            let fps = ProgramFingerprints::new(program);
-            let config_fp = fingerprint_config(&self.certifier, engine);
-            let main = program.main_method().ok_or(CertifyError::NoMain)?;
-            let prepared = PreparedProgram::new(program);
-            // mirror `Certifier::certify_with_certificate`: a cell without a
-            // solution (inconclusive run) is recorded as unavailable
-            let mut push =
-                |report: &Report, cell: Option<CertCell>, m: &MethodIr, entry: EntryAssumption| {
-                    cells.push(cell.unwrap_or_else(|| CertCell {
-                        method: m.qualified_name(),
-                        entry,
-                        preds: 0,
-                        bp_digest: 0,
-                        solution: CellSolution::Unavailable {
-                            reason: format!(
-                                "inconclusive run ({}): no post-fixpoint reached",
-                                report.verdict.reason().unwrap_or("budget exhausted")
-                            ),
-                        },
-                    }));
-                };
-            let (mut report, cell) = self.certify_cell_certified(
-                program,
-                &prepared,
-                &fps,
-                main,
-                engine,
-                EntryAssumption::Clean,
-                config_fp,
-                &mut run,
-                true,
-            )?;
-            push(&report, cell, main, EntryAssumption::Clean);
-            for m in program.methods() {
-                if m.id == main.id {
-                    continue;
-                }
-                let (r, cell) = self.certify_cell_certified(
-                    program,
-                    &prepared,
-                    &fps,
-                    m,
-                    engine,
-                    EntryAssumption::Unknown,
-                    config_fp,
-                    &mut run,
-                    true,
-                )?;
-                push(&r, cell, m, EntryAssumption::Unknown);
-                report.merge(r);
-            }
-            report.normalize();
-            report
-        };
-        let certificate = Certificate {
-            engine: engine.to_string(),
-            spec: self.certifier.spec().name().to_string(),
-            derived: derived_digest(self.certifier.derived()),
-            source: digest_str(source),
-            cells,
-            violations: report
-                .violations
-                .iter()
-                .map(|v| CertViolation {
-                    method: v.method.clone(),
-                    line: v.line,
-                    col: v.col,
-                    what: v.what.clone(),
-                })
-                .collect(),
-        };
+        let cell = self.cell_fn(program, engine, &mut run);
+        let (report, certificate) =
+            self.certifier.certify_with_cells(source, program, engine, cell)?;
         Ok((report, certificate, run))
+    }
+
+    /// The one cell function of both walks: certifies one `(method, entry)`
+    /// cell of `program`, answered from the store when its key matches.
+    /// The interprocedural engine observes the whole program, so its one
+    /// cell is keyed on the whole-program fingerprint. A hit that cannot
+    /// back a certificate (an engine that emits solutions, an entry without
+    /// one) re-runs: the store never serves a certificate it cannot back
+    /// with a solution.
+    fn cell_fn<'a>(
+        &'a self,
+        program: &'a Program,
+        engine: Engine,
+        run: &'a mut RunCacheStats,
+    ) -> impl FnMut(&MethodIr, EntryAssumption) -> Result<(Report, Option<CertCell>), CertifyError> + 'a
+    {
+        let fps = ProgramFingerprints::new(program);
+        let derived_fp = Fingerprint(derived_digest(self.certifier.derived()));
+        let config_fp = fingerprint_config(&self.certifier, engine);
+        let prepared = PreparedProgram::new(program);
+        let engine_name = engine.to_string();
+        move |method: &MethodIr, entry: EntryAssumption| {
+            let entry_unknown = entry == EntryAssumption::Unknown;
+            let (body, deps, name) = if engine == Engine::ScmpInterproc {
+                (fps.program(), fps.environment(), "<whole-program>".to_string())
+            } else {
+                (fps.method(method.id), fps.deps(method.id), method.qualified_name())
+            };
+            let key = cell_key(body, deps, self.spec_fp, derived_fp, config_fp, entry_unknown);
+            let (hit, stale) = self.cache.lookup_stale(key, &name, entry_unknown, &engine_name);
+            let backs_certificate = |hit: &CachedReport| {
+                hit.cell.is_some() || engine.certificate_unsupported().is_some()
+            };
+            if let Some(hit) = hit.filter(backs_certificate) {
+                run.hits += 1;
+                let report = hit.to_report(engine);
+                let cell = hit.cell.map(|c| CertCell {
+                    method: name,
+                    entry,
+                    preds: c.preds,
+                    bp_digest: c.bp_digest,
+                    solution: c.solution,
+                });
+                return Ok((report, cell));
+            }
+            run.misses += 1;
+            // Within-method delta re-solve: an edit invalidated this cell,
+            // but the stale entry still holds the pre-edit fixpoint. When it
+            // carries both a may-be-1 solution and the recorded program
+            // shape, seed the FDS re-solve from it — the changed region is
+            // re-solved, the rest is carried (validated) — instead of
+            // restarting from ⊥.
+            let seed = match (engine, stale) {
+                (Engine::ScmpFds, Some(stale)) => stale.delta.and_then(|payload| {
+                    let cell = stale.cell?;
+                    match cell.solution {
+                        CellSolution::MayOne { nodes } => Some(canvas_dataflow::DeltaSeed {
+                            payload,
+                            preds: cell.preds,
+                            solution: nodes,
+                        }),
+                        _ => None,
+                    }
+                }),
+                _ => None,
+            };
+            if seed.is_some() {
+                run.delta_seeded += 1;
+            }
+            let shared = prepared.shared(method, entry);
+            let (report, solution) = self.certifier.certify_method_shared(
+                program,
+                method,
+                engine,
+                entry,
+                shared,
+                seed.as_ref(),
+            )?;
+            let cell = solved_cell(method, entry, shared, solution);
+            // inconclusive verdicts are budget/wall-clock-dependent: never cached
+            if let Some(mut cached) = CachedReport::from_report(&report, cell.as_ref()) {
+                // capture the program shape next to the solution, so the
+                // *next* edit of this method can delta-seed from this run
+                if engine == Engine::ScmpFds {
+                    cached.delta = shared.cached_boolprog().map(canvas_dataflow::DeltaPayload::of);
+                }
+                self.cache.store(key, cached);
+            }
+            Ok((report, cell))
+        }
     }
 }
 
@@ -454,6 +300,24 @@ pub fn report_digest(report: &Report) -> Fingerprint {
         }
     }
     h.finish()
+}
+
+/// `canvas_faults::force` is process global: a unit test that forces a
+/// fault holds this lock exclusively, and one that serves or opens a disk
+/// store holds it shared, so a forced fault never reaches another test.
+#[cfg(test)]
+mod fault_lock {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static LOCK: RwLock<()> = RwLock::new(());
+
+    pub(crate) fn shared() -> RwLockReadGuard<'static, ()> {
+        LOCK.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        LOCK.write().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 #[cfg(test)]
@@ -589,6 +453,25 @@ class Main {
                 .certify_with_certificate(HELPERS, &program, engine)
                 .expect("reference");
             assert_eq!(cold_c, reference, "{engine}: cached path must match the uncached one");
+        }
+    }
+
+    #[test]
+    fn exact_and_conservative_abstractions_never_share_cells() {
+        let spec = canvas_easl::builtin::cmp();
+        let exact = Certifier::from_spec(spec.clone()).expect("cmp derives");
+        let conservative = Certifier::from_spec_conservative(spec, 1).expect("derives");
+        assert_ne!(derived_digest(exact.derived()), derived_digest(conservative.derived()));
+        let cache = std::sync::Arc::new(CertCache::in_memory());
+        let exact = IncrementalCertifier::shared(exact, std::sync::Arc::clone(&cache));
+        let conservative = IncrementalCertifier::shared(conservative, cache);
+        let program = parse(&exact, HELPERS);
+        for engine in Engine::all() {
+            let (_, first) =
+                exact.certify_program_cached_with_stats(&program, engine).expect("runs");
+            let (_, second) =
+                conservative.certify_program_cached_with_stats(&program, engine).expect("runs");
+            assert_eq!((second.hits, second.misses), (0, first.misses), "{engine}");
         }
     }
 

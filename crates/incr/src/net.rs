@@ -167,6 +167,7 @@ mod tests {
 
     #[test]
     fn tcp_round_trip_and_graceful_drain() {
+        let _faults = crate::fault_lock::shared();
         let (addr, handle) = spawn_server(ServeConfig::default());
         let mut stream = TcpStream::connect(addr).expect("connect");
         writeln!(
@@ -187,6 +188,7 @@ mod tests {
 
     #[test]
     fn second_connection_survives_first_connections_torn_input() {
+        let _faults = crate::fault_lock::shared();
         let config = ServeConfig { workers: 2, ..ServeConfig::default() };
         let (addr, handle) = spawn_server(config);
         // connection A sends a torn record (no newline) and hangs up

@@ -1165,6 +1165,7 @@ mod tests {
 
     #[test]
     fn certify_stats_shutdown_round_trip() {
+        let _faults = crate::fault_lock::shared();
         let script = format!(
             "{}\n{}\n{{\"id\":3,\"cmd\":\"stats\"}}\n{{\"id\":4,\"cmd\":\"shutdown\"}}\n",
             certify_line(1),
@@ -1195,6 +1196,7 @@ mod tests {
 
     #[test]
     fn responses_stay_in_request_order_under_concurrency() {
+        let _faults = crate::fault_lock::shared();
         let mut script = String::new();
         for id in 1..=6 {
             script.push_str(&certify_line(id));
@@ -1210,6 +1212,7 @@ mod tests {
 
     #[test]
     fn certificate_requests_carry_the_certificate_in_band() {
+        let _faults = crate::fault_lock::shared();
         let script = format!(
             "{{\"id\":1,\"cmd\":\"certify\",\"source\":\"{FIG3}\",\"certificate\":true}}\n\
              {}\n{{\"id\":3,\"cmd\":\"shutdown\"}}\n",
@@ -1227,6 +1230,7 @@ mod tests {
 
     #[test]
     fn certify_responses_carry_in_band_phase_stats() {
+        let _faults = crate::fault_lock::shared();
         let script = format!("{}\n{{\"id\":2,\"cmd\":\"shutdown\"}}\n", certify_line(1));
         let responses = run_script(&script, 1);
         let stats = responses[0].get("stats").expect("in-band stats");
@@ -1245,6 +1249,7 @@ mod tests {
 
     #[test]
     fn metrics_verb_answers_prometheus_exposition() {
+        let _faults = crate::fault_lock::shared();
         let script = format!(
             "{}\n{}\n{{\"id\":3,\"cmd\":\"metrics\"}}\n{{\"id\":4,\"cmd\":\"shutdown\"}}\n",
             certify_line(1),
@@ -1269,6 +1274,7 @@ mod tests {
 
     #[test]
     fn health_verb_reports_liveness() {
+        let _faults = crate::fault_lock::shared();
         let script = "{\"id\":1,\"cmd\":\"health\"}\n{\"id\":2,\"cmd\":\"shutdown\"}\n";
         let responses = run_script(script, 2);
         let r = &responses[0];
@@ -1284,6 +1290,7 @@ mod tests {
 
     #[test]
     fn malformed_requests_do_not_kill_the_daemon() {
+        let _faults = crate::fault_lock::shared();
         let script =
             format!("this is not json\n{{\"id\":2,\"cmd\":\"frobnicate\"}}\n{}\n", certify_line(3));
         let responses = run_script(&script, 1);
@@ -1298,6 +1305,7 @@ mod tests {
 
     #[test]
     fn unknown_specs_and_missing_files_answer_in_band() {
+        let _faults = crate::fault_lock::shared();
         let script = "{\"id\":1,\"cmd\":\"certify\",\"file\":\"/nonexistent/x.mj\"}\n\
                       {\"id\":2,\"cmd\":\"certify\",\"source\":\"class Main {}\",\"spec\":\"/nonexistent/s.easl\"}\n\
                       {\"id\":3,\"cmd\":\"shutdown\"}\n";
@@ -1311,6 +1319,7 @@ mod tests {
 
     #[test]
     fn per_request_budget_is_honored_and_not_cached() {
+        let _faults = crate::fault_lock::shared();
         // an absurdly tight step budget forces an inconclusive verdict;
         // rerunning unbudgeted must not see a cached cell for it
         let script = format!(
@@ -1326,6 +1335,7 @@ mod tests {
 
     #[test]
     fn the_store_persists_across_serve_sessions() {
+        let _faults = crate::fault_lock::shared();
         let dir = std::env::temp_dir().join(format!("canvas-serve-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config =
@@ -1355,6 +1365,7 @@ mod tests {
 
     #[test]
     fn torn_final_line_answers_in_band_error_and_closes() {
+        let _faults = crate::fault_lock::shared();
         // no trailing newline on the second record: torn input, not a request
         let script = format!("{}\n{{\"id\":2,\"cmd\":\"cert", certify_line(1));
         let responses = run_script_with(&script, &ServeConfig::default());
@@ -1368,6 +1379,7 @@ mod tests {
 
     #[test]
     fn oversized_line_answers_in_band_error_and_closes() {
+        let _faults = crate::fault_lock::shared();
         let huge = format!("{{\"id\":1,\"cmd\":\"certify\",\"source\":\"{}\"}}\n", "x".repeat(256));
         let config = ServeConfig { max_line_bytes: 64, ..ServeConfig::default() };
         let responses = run_script_with(&huge, &config);
@@ -1378,6 +1390,7 @@ mod tests {
 
     #[test]
     fn tenant_bucket_sheds_deterministically() {
+        let _faults = crate::fault_lock::shared();
         // burst 2, no refill: third certify from the same tenant sheds
         let mut script = String::new();
         for id in 1..=3 {
@@ -1403,6 +1416,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_sheds_at_pickup() {
+        let _faults = crate::fault_lock::shared();
         // budget_ms 0: the deadline is already due when a worker picks it up
         let script = format!(
             "{{\"id\":1,\"cmd\":\"certify\",\"source\":\"{FIG3}\",\"budget_ms\":0}}\n\
@@ -1420,6 +1434,7 @@ mod tests {
 
     #[test]
     fn queue_full_fault_sheds_every_certify() {
+        let _faults = crate::fault_lock::exclusive();
         canvas_faults::force(Some(Fault::QueueFull));
         let script = format!("{}\n{{\"id\":2,\"cmd\":\"shutdown\"}}\n", certify_line(1));
         let responses = run_script_with(&script, &ServeConfig::default());
@@ -1437,6 +1452,7 @@ mod tests {
 
     #[test]
     fn conn_drop_fault_poisons_only_the_connection() {
+        let _faults = crate::fault_lock::exclusive();
         canvas_faults::force(Some(Fault::ConnDrop));
         let script = format!("{}\n{{\"id\":2,\"cmd\":\"shutdown\"}}\n", certify_line(1));
         let mut out = Vec::new();

@@ -2,7 +2,7 @@
 //! certificates with an optional versioned on-disk mirror.
 //!
 //! The disk format is deliberately line-oriented so a torn write degrades
-//! gracefully: a `canvas-cert-cache/1` header line followed by one
+//! gracefully: a `canvas-cert-cache/2` header line followed by one
 //! `<key-hex> <compact-json>` line per certificate. Loading tolerates any
 //! corruption — a bad header drops the whole file, a bad line drops that
 //! line and everything after it (a truncated tail is the common tear) —
@@ -16,9 +16,9 @@
 //!
 //! Since format 2 a cached cell can carry the engine's replayable fixpoint
 //! solution ([`CachedCell`]) alongside the verdict, so a warm store can
-//! serve proof-carrying certificates without re-running the engine; cells
-//! cached without a solution degrade to a miss when a certificate is
-//! requested.
+//! serve proof-carrying certificates without re-running the engine. An
+//! entry of a solution-emitting engine that carries no solution (a foreign
+//! or hand-edited line) degrades to a miss.
 //!
 //! The in-memory tier is a sharded, size-budgeted LRU ([`crate::lru`]):
 //! each certificate is charged its byte-accurate store-line cost, and when
@@ -42,8 +42,9 @@ use canvas_core::{
 use crate::fingerprint::Fingerprint;
 use crate::json::{obj, Json};
 
-/// Header line of the on-disk store; bumped together with
-/// [`crate::fingerprint::KEY_VERSION`] on breaking changes.
+/// Header line of the on-disk store; bumped when the line format changes.
+/// A [`crate::fingerprint::KEY_VERSION`] bump needs none: entries under
+/// old keys simply miss.
 pub const STORE_FORMAT: &str = "canvas-cert-cache/2";
 
 const FILE_NAME: &str = "certs.v2";
@@ -163,9 +164,11 @@ pub struct CachedStep {
 }
 
 impl CachedReport {
-    /// Extracts the cacheable certificate from a report, or `None` when the
-    /// verdict is inconclusive (never cached — see the module docs).
-    pub fn from_report(report: &Report) -> Option<CachedReport> {
+    /// Extracts the cacheable certificate from a report and the engine's
+    /// certificate cell, if it emitted one (so the warm path can serve
+    /// proof-carrying certificates), or `None` when the verdict is
+    /// inconclusive (never cached — see the module docs).
+    pub fn from_report(report: &Report, cell: Option<&CertCell>) -> Option<CachedReport> {
         if report.verdict != Verdict::Complete {
             return None;
         }
@@ -200,22 +203,13 @@ impl CachedReport {
             max_states: report.stats.max_states as u64,
             exhausted: report.stats.exhausted,
             violations,
-            cell: None,
+            cell: cell.map(|c| CachedCell {
+                preds: c.preds,
+                bp_digest: c.bp_digest,
+                solution: c.solution.clone(),
+            }),
             delta: None,
         })
-    }
-
-    /// As [`CachedReport::from_report`], also capturing the engine's
-    /// certificate cell so the warm path can serve proof-carrying
-    /// certificates.
-    pub fn from_certified(report: &Report, cell: Option<&CertCell>) -> Option<CachedReport> {
-        let mut cached = Self::from_report(report)?;
-        cached.cell = cell.map(|c| CachedCell {
-            preds: c.preds,
-            bp_digest: c.bp_digest,
-            solution: c.solution.clone(),
-        });
-        Some(cached)
     }
 
     /// Rehydrates the certificate as a [`Report`] (duration zero — the
@@ -1105,14 +1099,14 @@ mod tests {
         assert_eq!(report.stats.duration, std::time::Duration::ZERO);
         assert_eq!(report.stats.work, 345);
         assert_eq!(report.lines(), vec![10, 13, 14]);
-        let back = CachedReport::from_report(&report).expect("complete");
+        let back = CachedReport::from_report(&report, None).expect("complete");
         assert_eq!(back, cached);
     }
 
     #[test]
     fn inconclusive_reports_are_never_cached() {
         let r = Report::inconclusive(Engine::ScmpFds, "deadline".to_string(), Stats::default());
-        assert_eq!(CachedReport::from_report(&r), None);
+        assert_eq!(CachedReport::from_report(&r, None), None);
     }
 
     #[test]
@@ -1155,6 +1149,7 @@ mod tests {
 
     #[test]
     fn persist_and_reopen_round_trips() {
+        let _faults = crate::fault_lock::shared();
         let dir = std::env::temp_dir().join(format!("canvas-incr-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = CertCache::open(&dir);
@@ -1174,6 +1169,7 @@ mod tests {
 
     #[test]
     fn corrupt_store_files_degrade_to_cold_or_partial_misses() {
+        let _faults = crate::fault_lock::shared();
         let dir = std::env::temp_dir().join(format!("canvas-incr-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -1214,6 +1210,7 @@ mod tests {
 
     #[test]
     fn disk_backed_eviction_spills_and_refetches_byte_identically() {
+        let _faults = crate::fault_lock::shared();
         let dir = std::env::temp_dir().join(format!("canvas-incr-spill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let line = sample().to_json().render_compact();
@@ -1244,6 +1241,7 @@ mod tests {
 
     #[test]
     fn budgeted_open_places_overflow_in_spill_without_counting_evictions() {
+        let _faults = crate::fault_lock::shared();
         let dir = std::env::temp_dir().join(format!("canvas-incr-load-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
@@ -1316,6 +1314,7 @@ mod tests {
 
     #[test]
     fn injected_cache_corruption_forces_recovery() {
+        let _faults = crate::fault_lock::exclusive();
         let dir = std::env::temp_dir().join(format!("canvas-incr-fault-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = CertCache::open(&dir);
