@@ -1,10 +1,8 @@
 //! The boolean-program transform for SCMP-style certification (Fig. 6).
 
-use std::collections::HashMap;
-
 use crate::derived::{Derived, FamilyId, RuleRhs, RuleVar, StmtAbstraction, UpdateRule};
 use canvas_easl::Spec;
-use canvas_logic::{models, Formula, Var};
+use canvas_logic::TypeName;
 use canvas_minijava::{Instr, MethodId, MethodIr, Program, Site, VarId};
 
 /// One nullary instrumentation-predicate instance: a family applied to a
@@ -81,20 +79,20 @@ pub struct BoolProgram {
     /// Predicates unknown at entry (instances over parameters and statics
     /// when the method is analysed out of context).
     pub entry_unknown: Vec<usize>,
-    /// Instances folded to constants (e.g. `mutx(x,x) ≡ 0`, `same(v,v) ≡ 1`).
-    pub consts: HashMap<(FamilyId, Vec<VarId>), bool>,
-    /// Instance → boolean-variable index, the inverse of [`BoolProgram::preds`].
-    pub index: HashMap<(FamilyId, Vec<VarId>), usize>,
+    /// Every enumerated instance, tracked or folded to a constant.
+    instances: InstanceTable,
 }
 
 impl BoolProgram {
-    /// The index of an instance, if it is tracked (non-constant).
+    /// An instance of this program as an operand: [`Operand::Var`] when it
+    /// is tracked, [`Operand::Const`] when it folds to a constant (e.g.
+    /// `mutx(x,x) ≡ 0`, `same(v,v) ≡ 1`), and `None` when it is no instance
+    /// of this program (an argument out of scope or of the wrong type).
     ///
-    /// O(1): resolved through the instance index built by the transform
-    /// (the interprocedural engine calls this per summary fact per call
-    /// edge, so it must not scan).
-    pub fn pred_index(&self, family: FamilyId, args: &[VarId]) -> Option<usize> {
-        self.index.get(&(family, args.to_vec())).copied()
+    /// O(arity) and allocation-free (the interprocedural engine calls this
+    /// per summary fact per call edge, so it must not scan).
+    pub fn instance(&self, family: FamilyId, args: &[VarId]) -> Option<Operand> {
+        self.instances.get(family, args.iter().map(|&v| Some(v)))
     }
 
     /// A human-readable name for predicate `i`, e.g. `stale{i1}`.
@@ -168,6 +166,87 @@ pub fn transform_method_with(
     bp
 }
 
+/// Instance → operand, with no hashing and no key to allocate.
+///
+/// The in-scope variables fall into one class per type. A family's
+/// instances are all tuples of variables whose k-th member is of parameter
+/// k's type, so they fill one dense row, in which the tuple `(v₀, …, vₙ)`
+/// sits at the mixed-radix number whose k-th digit is `vₖ`'s position in its
+/// class. That is also the transform's enumeration order.
+#[derive(Clone, PartialEq, Debug)]
+struct InstanceTable {
+    /// Per program variable (indexed by [`VarId`]): its class and its
+    /// position there, or `None` when it is not in scope.
+    slots: Vec<Option<(usize, usize)>>,
+    /// The type of each class.
+    types: Vec<TypeName>,
+    /// The variables of each class, in scope order.
+    members: Vec<Vec<VarId>>,
+    /// Per family: the class of each parameter, or `None` when some
+    /// parameter's type has no variable in scope (no instances at all).
+    params: Vec<Option<Vec<usize>>>,
+    /// Per family: the operand of each instance, in row order.
+    rows: Vec<Vec<Operand>>,
+}
+
+impl InstanceTable {
+    fn new(program: &Program, vars: &[VarId]) -> InstanceTable {
+        let mut table = InstanceTable {
+            slots: vec![None; vars.iter().map(|v| v.0 + 1).max().unwrap_or(0)],
+            types: Vec::new(),
+            members: Vec::new(),
+            params: Vec::new(),
+            rows: Vec::new(),
+        };
+        for &v in vars {
+            let ty = program.var(v).ty;
+            let c = match table.class(&ty) {
+                Some(c) => c,
+                None => {
+                    table.types.push(ty);
+                    table.members.push(Vec::new());
+                    table.types.len() - 1
+                }
+            };
+            table.slots[v.0] = Some((c, table.members[c].len()));
+            table.members[c].push(v);
+        }
+        table
+    }
+
+    /// The class of the in-scope variables of type `ty`.
+    fn class(&self, ty: &TypeName) -> Option<usize> {
+        self.types.iter().position(|t| t == ty)
+    }
+
+    /// The in-scope variables of type `ty`, in scope order.
+    fn vars_of(&self, ty: &TypeName) -> &[VarId] {
+        self.class(ty).map_or(&[], |c| &self.members[c])
+    }
+
+    /// The operand of `family`'s instance over `args`; `None` when an
+    /// argument is missing (`None`), out of scope or of the wrong type.
+    fn get(
+        &self,
+        family: FamilyId,
+        args: impl ExactSizeIterator<Item = Option<VarId>>,
+    ) -> Option<Operand> {
+        let classes = self.params.get(family.index())?.as_ref()?;
+        if classes.len() != args.len() {
+            return None;
+        }
+        let mut at = 0;
+        for (&want, v) in classes.iter().zip(args) {
+            let (c, pos) = (*self.slots.get(v?.0)?)?;
+            if c != want {
+                return None;
+            }
+            at = at * self.members[c].len() + pos;
+        }
+        self.rows[family.index()].get(at).copied()
+    }
+}
+
 struct Builder<'a> {
     program: &'a Program,
     method: &'a MethodIr,
@@ -175,13 +254,8 @@ struct Builder<'a> {
     derived: &'a Derived,
     entry: EntryAssumption,
     policy: ClientCallPolicy,
-    vars: Vec<VarId>,
     preds: Vec<PredInstance>,
-    index: HashMap<(FamilyId, Vec<VarId>), usize>,
-    /// constant value of folded instances
-    consts: HashMap<(FamilyId, Vec<VarId>), bool>,
-    /// memo of repeat-pattern constancy per family
-    diag_memo: HashMap<(FamilyId, Vec<usize>), Option<bool>>,
+    instances: InstanceTable,
 }
 
 impl<'a> Builder<'a> {
@@ -193,6 +267,7 @@ impl<'a> Builder<'a> {
         entry: EntryAssumption,
         policy: ClientCallPolicy,
     ) -> Self {
+        let vars = program.component_vars_in_scope(method.id, spec);
         Builder {
             program,
             method,
@@ -200,22 +275,15 @@ impl<'a> Builder<'a> {
             derived,
             entry,
             policy,
-            vars: program.component_vars_in_scope(method.id, spec),
             preds: Vec::new(),
-            index: HashMap::new(),
-            consts: HashMap::new(),
-            diag_memo: HashMap::new(),
+            instances: InstanceTable::new(program, &vars),
         }
     }
 
     fn run(mut self) -> BoolProgram {
         // enumerate all type-correct instances
-        let derived = self.derived;
-        for fam in derived.families() {
-            let fid = fam.id();
-            let arity = fam.params().len();
-            let mut tuple = vec![VarId(0); arity];
-            self.enumerate(fid, 0, &mut tuple);
+        for fam in self.derived.families() {
+            self.enumerate(fam.id());
         }
 
         let mut edges = Vec::new();
@@ -250,91 +318,52 @@ impl<'a> Builder<'a> {
             edges,
             checks,
             entry_unknown,
-            consts: self.consts,
-            index: self.index,
+            instances: self.instances,
         }
     }
 
-    fn enumerate(&mut self, fid: FamilyId, k: usize, tuple: &mut Vec<VarId>) {
-        let fam = self.derived.family(fid);
-        if k == fam.params().len() {
-            let key = (fid, tuple.clone());
-            if self.index.contains_key(&key) || self.consts.contains_key(&key) {
-                return;
-            }
-            match self.tuple_const(fid, tuple) {
-                Some(c) => {
-                    self.consts.insert(key, c);
+    /// Fills `fid`'s row: every type-correct tuple in row order (the last
+    /// parameter varies fastest), folded to its constant when the derived
+    /// abstraction says its repeat pattern is constant, tracked otherwise.
+    fn enumerate(&mut self, fid: FamilyId) {
+        let derived = self.derived;
+        let params = derived.family(fid).params();
+        let classes: Option<Vec<usize>> =
+            params.iter().map(|p| self.instances.class(p.ty())).collect();
+        let mut row = Vec::new();
+        if let Some(classes) = &classes {
+            let members = &self.instances.members;
+            let count: usize = classes.iter().map(|&c| members[c].len()).product();
+            row.reserve(count);
+            let mut tuple = vec![VarId(0); classes.len()];
+            for n in 0..count {
+                let mut rest = n;
+                for (slot, &c) in tuple.iter_mut().zip(classes).rev() {
+                    *slot = members[c][rest % members[c].len()];
+                    rest /= members[c].len();
                 }
-                None => {
-                    let idx = self.preds.len();
-                    self.preds.push(PredInstance { family: fid, args: tuple.clone() });
-                    self.index.insert(key, idx);
-                }
-            }
-            return;
-        }
-        let want_ty = *fam.params()[k].ty();
-        let vars = self.vars.clone();
-        for v in vars {
-            if self.program.var(v).ty == want_ty {
-                tuple[k] = v;
-                self.enumerate(fid, k + 1, tuple);
+                row.push(match derived.constant_instance(fid, &tuple) {
+                    Some(c) => Operand::Const(c),
+                    None => {
+                        self.preds.push(PredInstance { family: fid, args: tuple.clone() });
+                        Operand::Var(self.preds.len() - 1)
+                    }
+                });
             }
         }
+        self.instances.params.push(classes);
+        self.instances.rows.push(row);
     }
 
-    /// Whether an instance with this repeat pattern folds to a constant.
-    fn tuple_const(&mut self, fid: FamilyId, tuple: &[VarId]) -> Option<bool> {
-        // canonical repeat pattern, e.g. (a,a) → [0,0], (a,b) → [0,1]
-        let mut pattern = Vec::with_capacity(tuple.len());
-        let mut seen: Vec<VarId> = Vec::new();
-        for v in tuple {
-            match seen.iter().position(|w| w == v) {
-                Some(k) => pattern.push(k),
-                None => {
-                    pattern.push(seen.len());
-                    seen.push(*v);
-                }
-            }
-        }
-        let key = (fid, pattern.clone());
-        if let Some(c) = self.diag_memo.get(&key) {
-            return *c;
-        }
-        let fam = self.derived.family(fid);
-        // instantiate with pattern-canonical variables
-        let args: Vec<Var> = fam
-            .params()
-            .iter()
-            .zip(&pattern)
-            .map(|(p, k)| Var::new(format!("c{k}"), *p.ty()))
-            .collect();
-        let inst = fam.instantiate(&args);
-        let oracle = self.spec.oracle();
-        let c = if models::equivalent(&oracle, &Formula::True, &inst, &Formula::True) {
-            Some(true)
-        } else if models::equivalent(&oracle, &Formula::True, &inst, &Formula::False) {
-            Some(false)
-        } else {
-            None
-        };
-        self.diag_memo.insert(key, c);
-        c
-    }
-
-    /// Resolves an instance to an operand (constant or variable); `None`
-    /// when a referenced variable is not in scope/type-mismatched (treated
-    /// as "no tracked object", i.e. 0).
-    fn operand(&self, fid: FamilyId, args: &[VarId]) -> Operand {
-        let key = (fid, args.to_vec());
-        if let Some(&c) = self.consts.get(&key) {
-            return Operand::Const(c);
-        }
-        match self.index.get(&key) {
-            Some(&i) => Operand::Var(i),
-            None => Operand::Const(false),
-        }
+    /// Resolves an instance to an operand: untracked instances and rule
+    /// variables that do not resolve (out of scope, type-mismatched, no
+    /// such argument) read as "no tracked object", i.e. 0.
+    fn operand(
+        &self,
+        fid: FamilyId,
+        args: impl ExactSizeIterator<Item = Option<VarId>>,
+    ) -> Operand {
+        self.instances.get(fid, args).unwrap_or(Operand::Const(false))
     }
 
     /// Resolves a rule variable against a concrete statement instance.
@@ -403,15 +432,9 @@ impl<'a> Builder<'a> {
     ) {
         let fam = self.derived.family(rule.family);
         if k == rule.target_args.len() {
-            // resolve target tuple
-            let mut tuple = Vec::with_capacity(rule.target_args.len());
-            for &ta in &rule.target_args {
-                match Self::resolve_rule_var(ta, recv, args, lhs, univ) {
-                    Some(v) => tuple.push(v),
-                    None => return,
-                }
-            }
-            let Some(&idx) = self.index.get(&(rule.family, tuple.clone())) else {
+            let resolve = |rv: &RuleVar| Self::resolve_rule_var(*rv, recv, args, lhs, univ);
+            let target = self.instances.get(rule.family, rule.target_args.iter().map(resolve));
+            let Some(Operand::Var(idx)) = target else {
                 return; // constant or untracked instance: no assignment
             };
             // resolve rhs
@@ -422,25 +445,10 @@ impl<'a> Builder<'a> {
                     RuleRhs::Const(true) => ops.push(Operand::Const(true)),
                     RuleRhs::Const(false) => {}
                     RuleRhs::Unknown => havoc = true,
-                    RuleRhs::Inst(g, rvs) => {
-                        let mut iargs = Vec::with_capacity(rvs.len());
-                        let mut ok = true;
-                        for &rv in rvs {
-                            match Self::resolve_rule_var(rv, recv, args, lhs, univ) {
-                                Some(v) => iargs.push(v),
-                                None => {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                        }
-                        if ok {
-                            match self.operand(*g, &iargs) {
-                                Operand::Const(false) => {}
-                                op => ops.push(op),
-                            }
-                        }
-                    }
+                    RuleRhs::Inst(g, rvs) => match self.operand(*g, rvs.iter().map(resolve)) {
+                        Operand::Const(false) => {}
+                        op => ops.push(op),
+                    },
                 }
             }
             out.push((idx, if havoc { Rhs::Havoc } else { Rhs::Disj(ops) }));
@@ -448,11 +456,7 @@ impl<'a> Builder<'a> {
         }
         match rule.target_args[k] {
             RuleVar::Univ(slot) => {
-                let want_ty = *fam.params()[k].ty();
-                for &v in &self.vars {
-                    if self.program.var(v).ty != want_ty {
-                        continue;
-                    }
+                for &v in self.instances.vars_of(fam.params()[k].ty()) {
                     if Some(v) == lhs {
                         continue; // served by the Lhs-bound rule
                     }
@@ -572,22 +576,10 @@ impl<'a> Builder<'a> {
                 RuleRhs::Const(true) | RuleRhs::Unknown => ops.push(Operand::Const(true)),
                 RuleRhs::Const(false) => {}
                 RuleRhs::Inst(g, rvs) => {
-                    let mut iargs = Vec::with_capacity(rvs.len());
-                    let mut ok = true;
-                    for &rv in rvs {
-                        match Self::resolve_rule_var(rv, recv, args, lhs, &[]) {
-                            Some(v) => iargs.push(v),
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        match self.operand(*g, &iargs) {
-                            Operand::Const(false) => {}
-                            op => ops.push(op),
-                        }
+                    let resolve = |rv: &RuleVar| Self::resolve_rule_var(*rv, recv, args, lhs, &[]);
+                    match self.operand(*g, rvs.iter().map(resolve)) {
+                        Operand::Const(false) => {}
+                        op => ops.push(op),
                     }
                 }
             }

@@ -9,9 +9,11 @@
 //! includes the *meaning* of an abstraction but not the (much larger,
 //! unproven-in-code) derivation engine.
 
+use std::collections::HashMap;
 use std::fmt;
 
-use canvas_logic::{Formula, PredId, TypeName, Var};
+use canvas_easl::Spec;
+use canvas_logic::{Formula, ModelEnv, PredId, TypeName, Var};
 
 use crate::certificate::Digest;
 
@@ -239,24 +241,58 @@ pub struct Derived {
     families: Vec<Family>,
     stmts: Vec<StmtAbstraction>,
     stats: DerivationStats,
-    // computed once here: the fields it covers are private and never change
+    // computed once here from the private fields above, which never change:
+    // the digest, the constant repeat patterns of each family, and the
+    // statement abstractions by form
     digest: u64,
+    constancy: Vec<Vec<(Vec<usize>, bool)>>,
+    forms: HashMap<TypeName, ClassForms>,
+}
+
+/// Indices into [`Derived::stmt_abstractions`] of one class's forms.
+#[derive(Clone, PartialEq, Debug, Default)]
+struct ClassForms {
+    new: Option<usize>,
+    copy: Option<usize>,
+    calls: HashMap<String, usize>,
 }
 
 impl Derived {
-    /// Assembles a derived abstraction. Called by the derivation procedure.
+    /// Assembles a derived abstraction for `spec`. Called by the derivation
+    /// procedure.
+    ///
+    /// Decides here, once, which repeat patterns make each family's
+    /// instances constant (see [`Derived::constant_instance`]); `spec`
+    /// supplies the field types for those decisions.
     pub fn new(
-        spec_name: String,
+        spec: &Spec,
         families: Vec<Family>,
         stmts: Vec<StmtAbstraction>,
         stats: DerivationStats,
     ) -> Derived {
+        let spec_name = spec.name().to_string();
         // the `Debug` forms are deterministic
         let mut h = Digest::new();
         h.write_str(&spec_name);
         h.write_str(&format!("{families:?}"));
         h.write_str(&format!("{stmts:?}"));
-        Derived { spec_name, families, stmts, stats, digest: h.finish() }
+        let constancy = families.iter().map(|f| constant_patterns(f, spec)).collect();
+        let mut forms: HashMap<TypeName, ClassForms> = HashMap::new();
+        for (k, s) in stmts.iter().enumerate() {
+            // the first abstraction of a form wins, as a scan would find it
+            match &s.form {
+                StmtForm::New { class } => {
+                    forms.entry(*class).or_default().new.get_or_insert(k);
+                }
+                StmtForm::Copy { ty } => {
+                    forms.entry(*ty).or_default().copy.get_or_insert(k);
+                }
+                StmtForm::Call { class, method } => {
+                    forms.entry(*class).or_default().calls.entry(method.clone()).or_insert(k);
+                }
+            }
+        }
+        Derived { spec_name, families, stmts, stats, digest: h.finish(), constancy, forms }
     }
 
     /// The digest behind [`crate::certificate::derived_digest`].
@@ -286,23 +322,92 @@ impl Derived {
 
     /// The abstraction for `[x =] y.m(args)`.
     pub fn for_call(&self, class: &TypeName, method: &str) -> Option<&StmtAbstraction> {
-        self.stmts.iter().find(
-            |s| matches!(&s.form, StmtForm::Call { class: c, method: m } if c == class && m == method),
-        )
+        Some(&self.stmts[*self.forms.get(class)?.calls.get(method)?])
     }
 
     /// The abstraction for `x = new C(args)`.
     pub fn for_new(&self, class: &TypeName) -> Option<&StmtAbstraction> {
-        self.stmts.iter().find(|s| matches!(&s.form, StmtForm::New { class: c } if c == class))
+        Some(&self.stmts[self.forms.get(class)?.new?])
     }
 
     /// The abstraction for `x = y` at type `ty`.
     pub fn for_copy(&self, ty: &TypeName) -> Option<&StmtAbstraction> {
-        self.stmts.iter().find(|s| matches!(&s.form, StmtForm::Copy { ty: t } if t == ty))
+        Some(&self.stmts[self.forms.get(ty)?.copy?])
+    }
+
+    /// The constant value of `family`'s instances whose arguments repeat as
+    /// `args` do (`mutx(x,x) ≡ 0`, `same(v,v) ≡ 1`), or `None` when such
+    /// instances are not constant.
+    ///
+    /// Only the repeat pattern of `args` matters: `args` may be client
+    /// variables, or a pattern itself such as `[0, 0, 1]`. Patterns that
+    /// repeat parameters of different types match no instance and answer
+    /// `None`.
+    pub fn constant_instance<T: PartialEq>(&self, family: FamilyId, args: &[T]) -> Option<bool> {
+        self.constancy[family.index()]
+            .iter()
+            .find(|(pattern, _)| same_repeats(pattern, args))
+            .map(|&(_, c)| c)
     }
 
     /// Derivation statistics.
     pub fn stats(&self) -> &DerivationStats {
         &self.stats
     }
+}
+
+/// Every repeat pattern of `family`'s parameters whose instances are
+/// constant, with that constant. A pattern is a restricted-growth string
+/// (`(a,a,b)` → `[0,0,1]`) and only repeats parameters of one type, since
+/// an instance binds each parameter to a variable of its type.
+fn constant_patterns(family: &Family, spec: &Spec) -> Vec<(Vec<usize>, bool)> {
+    let oracle = spec.oracle();
+    let params = family.params();
+    let mut out = Vec::new();
+    for pattern in repeat_patterns(params) {
+        // instantiate with one canonical variable per class
+        let args: Vec<Var> =
+            params.iter().zip(&pattern).map(|(p, k)| Var::new(format!("c{k}"), *p.ty())).collect();
+        let inst = family.instantiate(&args);
+        // one model set serves both questions: `models::equivalent(.., inst,
+        // True)` and `(.., inst, False)` enumerate over exactly these paths
+        let env = ModelEnv::new([&inst], &oracle);
+        if env.equivalent_under(&Formula::True, &inst, &Formula::True) {
+            out.push((pattern, true));
+        } else if env.equivalent_under(&Formula::True, &inst, &Formula::False) {
+            out.push((pattern, false));
+        }
+    }
+    out
+}
+
+/// The type-compatible repeat patterns of `params`, in lexicographic order.
+fn repeat_patterns(params: &[Var]) -> Vec<Vec<usize>> {
+    fn extend(params: &[Var], pattern: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        let k = pattern.len();
+        if k == params.len() {
+            out.push(pattern.clone());
+            return;
+        }
+        let classes = pattern.iter().max().map_or(0, |m| m + 1);
+        for c in 0..=classes {
+            // a class is named by its first member's position
+            let first = pattern.iter().position(|&q| q == c);
+            if first.is_none_or(|f| params[f].ty() == params[k].ty()) {
+                pattern.push(c);
+                extend(params, pattern, out);
+                pattern.pop();
+            }
+        }
+    }
+    let mut out = Vec::new();
+    extend(params, &mut Vec::with_capacity(params.len()), &mut out);
+    out
+}
+
+/// Whether `args` repeats exactly where `pattern` does.
+fn same_repeats<T: PartialEq>(pattern: &[usize], args: &[T]) -> bool {
+    pattern.len() == args.len()
+        && (0..args.len())
+            .all(|j| (0..j).all(|i| (pattern[i] == pattern[j]) == (args[i] == args[j])))
 }

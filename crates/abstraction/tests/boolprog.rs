@@ -73,7 +73,9 @@ fn unknown_entry_for_params_and_statics() {
     assert!(!bp.entry_unknown.is_empty());
     // stale(it) must be among the unknowns
     let it = program.vars().iter().find(|v| v.name == "it").unwrap().id;
-    let stale_it = bp.pred_index(FamilyId::from_index(0), &[it]).unwrap();
+    let Some(Operand::Var(stale_it)) = bp.instance(FamilyId::new(0), &[it]) else {
+        panic!("stale(it) is tracked");
+    };
     assert!(bp.entry_unknown.contains(&stale_it));
 }
 
@@ -138,8 +140,11 @@ fn diagonal_instances_fold_to_constants() {
         }
     }
     // the folded constants are recorded
-    assert!(bp.consts.values().any(|&v| v), "same(v,v)=1 recorded");
-    assert!(bp.consts.values().any(|&v| !v), "mutx(i,i)=0 recorded");
+    let var = |name: &str| program.vars().iter().find(|v| v.name == name).unwrap().id;
+    let family = |name: &str| derived.families().iter().find(|f| f.name() == name).unwrap().id();
+    let (v, i) = (var("v"), var("i"));
+    assert_eq!(bp.instance(family("same"), &[v, v]), Some(Operand::Const(true)), "same(v,v)=1");
+    assert_eq!(bp.instance(family("mutx"), &[i, i]), Some(Operand::Const(false)), "mutx(i,i)=0");
 }
 
 #[test]

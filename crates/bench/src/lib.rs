@@ -528,7 +528,7 @@ fn serve_overload_exercise() {
     run(script, &ServeConfig { workers: 1, cache_bytes: Some(1024), ..ServeConfig::default() });
 }
 
-/// Builds the stable `canvas-bench-eval/1` document. Everything under
+/// Builds the stable `canvas-bench-eval/2` document. Everything under
 /// `"deterministic"` must be byte-identical run-to-run (CI gates it against
 /// `bench/baseline.json`); everything under `"measured"` — timings and
 /// scheduling-dependent counters — is recorded but never gated.
@@ -643,7 +643,7 @@ pub fn metrics_to_json(m: &EvalMetrics) -> json::Json {
     ])
 }
 
-/// Compares the `"deterministic"` subtrees of two `canvas-bench-eval/1`
+/// Compares the `"deterministic"` subtrees of two `canvas-bench-eval/2`
 /// documents; returns the drift as human-readable lines (empty = no drift).
 pub fn deterministic_drift(current: &json::Json, baseline: &json::Json) -> Vec<String> {
     match (current.get("deterministic"), baseline.get("deterministic")) {

@@ -31,7 +31,7 @@
 // return typed errors, never panic
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use canvas_abstraction::{
@@ -39,7 +39,7 @@ use canvas_abstraction::{
     CertFormatError, CertViolation, Certificate, Derived, EntryAssumption, Operand, Rhs,
 };
 use canvas_easl::Spec;
-use canvas_minijava::Program;
+use canvas_minijava::{MethodId, Program};
 
 /// Hard cap on the states materialized while replaying one relational
 /// transfer (havoc forking is exponential in the havoc count). Genuine
@@ -488,37 +488,47 @@ pub fn check(
         return Err(CheckError::WrongSource);
     }
     let program = Program::parse(source, spec).map_err(|e| CheckError::Client(e.to_string()))?;
-    let main = program.main_method().ok_or(CheckError::NoMain)?.qualified_name();
+    let main = program.main_method().ok_or(CheckError::NoMain)?.id;
 
     // the certifier produces exactly one cell per method: main under the
     // clean entry, every other method under the unknown entry — demand
     // exactly that set, nothing missing, nothing extra, no duplicates
-    let mut expected: Vec<(String, EntryAssumption)> = vec![(main.clone(), EntryAssumption::Clean)];
-    for m in program.methods() {
-        if m.qualified_name() != main {
-            expected.push((m.qualified_name(), EntryAssumption::Unknown));
-        }
+    let methods = program.methods();
+    let expected_entry =
+        |m: MethodId| if m == main { EntryAssumption::Clean } else { EntryAssumption::Unknown };
+    let by_name: HashMap<String, MethodId> =
+        methods.iter().map(|m| (m.qualified_name(), m.id)).collect();
+    // each cell's method, if the cell is one of the expected set
+    let cell_methods: Vec<Option<MethodId>> = cert
+        .cells
+        .iter()
+        .map(|c| by_name.get(&c.method).copied().filter(|&m| expected_entry(m) == c.entry))
+        .collect();
+    let mut cells_of = vec![0usize; methods.len()];
+    for m in cell_methods.iter().flatten() {
+        cells_of[m.0] += 1;
     }
-    for (method, entry) in &expected {
-        if !cert.cells.iter().any(|c| &c.method == method && c.entry == *entry) {
-            return Err(CheckError::MissingCell { method: method.clone(), entry: *entry });
-        }
+    // main's cell is reported missing first, then the others in order
+    let mut order =
+        std::iter::once(main).chain(methods.iter().map(|m| m.id).filter(|&m| m != main));
+    if let Some(m) = order.find(|m| cells_of[m.0] == 0) {
+        return Err(CheckError::MissingCell {
+            method: program.method(m).qualified_name(),
+            entry: expected_entry(m),
+        });
     }
-    for c in &cert.cells {
-        let dup =
-            cert.cells.iter().filter(|d| d.method == c.method && d.entry == c.entry).count() > 1;
-        if dup || !expected.iter().any(|(m, e)| m == &c.method && *e == c.entry) {
-            return Err(CheckError::ExtraCell { method: c.method.clone() });
+    let mut resolved = Vec::with_capacity(cert.cells.len());
+    for (c, m) in cert.cells.iter().zip(&cell_methods) {
+        match m {
+            Some(m) if cells_of[m.0] == 1 => resolved.push((c, program.method(*m))),
+            _ => return Err(CheckError::ExtraCell { method: c.method.clone() }),
         }
     }
 
     let mut stats = CheckStats::default();
     let mut implied: Vec<CertViolation> = Vec::new();
-    for cell in &cert.cells {
+    for (cell, method) in resolved {
         stats.cells += 1;
-        let method = program
-            .method_named(&cell.method)
-            .ok_or_else(|| CheckError::ExtraCell { method: cell.method.clone() })?;
         let bp = transform_method(&program, method, spec, derived, cell.entry);
         if bp.preds.len() != cell.preds as usize {
             return Err(CheckError::ShapeMismatch {

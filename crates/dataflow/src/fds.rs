@@ -224,7 +224,8 @@ impl TransferPlan {
             plan.words.extend(ws.iter().map(|&w| PatchWord { w, clear: 0, consts: 0 }));
             for (dst, rhs) in &e.assigns {
                 let w = (*dst / 64) as u32;
-                let slot = wlo + ws.binary_search(&w).expect("word collected") as u32;
+                // `w` is in `ws`, so this is its position
+                let slot = wlo + ws.partition_point(|&x| x < w) as u32;
                 let bit = 1u64 << (dst % 64);
                 let pw = &mut plan.words[slot as usize];
                 debug_assert_eq!(pw.clear & bit, 0, "duplicate assign target");

@@ -116,9 +116,8 @@ struct Ctx<'a> {
 
 /// Runs the context-sensitive interprocedural certifier from `main`.
 ///
-/// # Panics
-///
-/// Panics if the program has no static `main` method.
+/// A program without a static `main` reaches no method, so its result is
+/// empty: callers that certify must reject it first (`canvas-core` does).
 pub fn analyze(program: &Program, spec: &Spec, derived: &Derived) -> InterprocResult {
     let disarmed = Meter::disarmed();
     match analyze_impl(program, spec, derived, false, &disarmed) {
@@ -130,10 +129,6 @@ pub fn analyze(program: &Program, spec: &Spec, derived: &Derived) -> InterprocRe
 /// Like [`analyze`], but records per-fact provenance during tabulation and
 /// attaches a witness trace to every violation. Witness chains stop at a
 /// method's entry when the justifying fact flowed in from a caller.
-///
-/// # Panics
-///
-/// As [`analyze`].
 pub fn analyze_explained(program: &Program, spec: &Spec, derived: &Derived) -> InterprocResult {
     let disarmed = Meter::disarmed();
     match analyze_impl(program, spec, derived, true, &disarmed) {
@@ -149,10 +144,6 @@ pub fn analyze_explained(program: &Program, spec: &Spec, derived: &Derived) -> I
 ///
 /// Returns the [`Exhaustion`] when the governor budget trips; the caller
 /// degrades to an inconclusive verdict.
-///
-/// # Panics
-///
-/// As [`analyze`].
 pub fn analyze_with(
     program: &Program,
     spec: &Spec,
@@ -168,10 +159,6 @@ pub fn analyze_with(
 /// # Errors
 ///
 /// As [`analyze_with`].
-///
-/// # Panics
-///
-/// As [`analyze`].
 pub fn analyze_explained_with(
     program: &Program,
     spec: &Spec,
@@ -191,7 +178,15 @@ fn analyze_impl(
 ) -> Result<InterprocResult, Exhaustion> {
     let _span = INTERPROC_ANALYZE_TIME.span();
     INTERPROC_ANALYSES.incr();
-    let main_id = program.main_method().expect("interprocedural analysis needs a main").id;
+    let Some(main) = program.main_method() else {
+        return Ok(InterprocResult {
+            violations: Vec::new(),
+            reachable: Vec::new(),
+            summary_iterations: 0,
+            max_instances: 0,
+        });
+    };
+    let main_id = main.id;
     let mut ext = program.clone();
 
     let mut ghost_of = HashMap::new();
@@ -286,12 +281,10 @@ impl Ctx<'_> {
                     }
                 }
                 seeds.push(if ok {
-                    match self.methods[mi].bp.pred_index(p.family, &gargs) {
-                        Some(idx) => Some(Seed::Fact(idx)),
-                        None => match self.methods[mi].bp.consts.get(&(p.family, gargs)) {
-                            Some(true) => Some(Seed::One),
-                            _ => None,
-                        },
+                    match self.methods[mi].bp.instance(p.family, &gargs) {
+                        Some(Operand::Var(idx)) => Some(Seed::Fact(idx)),
+                        Some(Operand::Const(true)) => Some(Seed::One),
+                        _ => None,
                     }
                 } else {
                     None
@@ -510,15 +503,11 @@ impl Ctx<'_> {
         }
 
         // the callee instance whose exit value we need
-        let facts = match callee_bp.pred_index(p.family, &mapped) {
-            Some(q) => &summaries[callee][q],
-            None => {
-                return match callee_bp.consts.get(&(p.family, mapped)) {
-                    Some(true) => Some(vec![Back::Const1]),
-                    Some(false) => Some(Vec::new()),
-                    None => None,
-                }
-            }
+        let facts = match callee_bp.instance(p.family, &mapped) {
+            Some(Operand::Var(q)) => &summaries[callee][q],
+            Some(Operand::Const(true)) => return Some(vec![Back::Const1]),
+            Some(Operand::Const(false)) => return Some(Vec::new()),
+            None => return None,
         };
 
         // reverse phantom map
@@ -559,13 +548,11 @@ impl Ctx<'_> {
             if !ok {
                 return None;
             }
-            match caller_bp.pred_index(fact.family, &cargs) {
-                Some(j) => backs.push(Back::Pred(j)),
-                None => match caller_bp.consts.get(&(fact.family, cargs)) {
-                    Some(true) => backs.push(Back::Const1),
-                    Some(false) => {}
-                    None => return None,
-                },
+            match caller_bp.instance(fact.family, &cargs) {
+                Some(Operand::Var(j)) => backs.push(Back::Pred(j)),
+                Some(Operand::Const(true)) => backs.push(Back::Const1),
+                Some(Operand::Const(false)) => {}
+                None => return None,
             }
         }
         Some(backs)
@@ -588,7 +575,9 @@ impl Ctx<'_> {
 
         while let Some(m) = work.pop() {
             gov.tick()?;
-            let entry = entry_in[m].clone().expect("queued methods have entries");
+            let Some(entry) = entry_in[m].clone() else {
+                continue; // unreachable: a method is queued with its entry
+            };
             let (state, viols) = self.run_concrete(m, &entry, summaries, derived, explain, gov)?;
             per_method_violations[m] = viols;
             // propagate callee entries
@@ -815,9 +804,10 @@ impl Ctx<'_> {
             if !ok {
                 continue;
             }
-            let bit = match caller_bp.pred_index(p.family, &cargs) {
-                Some(j) => cur.get(j),
-                None => matches!(caller_bp.consts.get(&(p.family, cargs)), Some(true)),
+            let bit = match caller_bp.instance(p.family, &cargs) {
+                Some(Operand::Var(j)) => cur.get(j),
+                Some(Operand::Const(c)) => c,
+                None => false,
             };
             if bit {
                 out.set(q, true);

@@ -55,7 +55,8 @@ impl Spec {
 
     /// Whether `ty` is one of the component's classes.
     pub fn is_component_type(&self, ty: &TypeName) -> bool {
-        self.class(ty.as_str()).is_some()
+        // symbol equality: one integer compare per class, no name lookup
+        self.classes.iter().any(|c| c.name() == ty)
     }
 
     /// The declared type of `field` in component type `owner`.

@@ -401,11 +401,11 @@ fn run_spec_body(
     for stmt in m.body() {
         let SpecStmt::Assign { lhs, rhs } = stmt;
         let value = eval_spec_expr(spec, class, m, rhs, env, edge, ordinal, s);
-        // target object = parent of lhs path
-        let parent =
-            canvas_easl::SpecPath::new(lhs.base(), lhs.fields()[..lhs.fields().len() - 1].to_vec());
+        // target object = parent of lhs path (the parser only accepts
+        // assignments to fields, so there is always a last field)
+        let Some((field, parent)) = lhs.fields().split_last() else { continue };
+        let parent = canvas_easl::SpecPath::new(lhs.base(), parent.to_vec());
         let base = eval_spec_path(s, class, m, &parent, env);
-        let field = lhs.fields().last().expect("assignments target fields");
         s.write_field(&base, field, value);
     }
 }

@@ -51,11 +51,10 @@ impl Formula {
                 other => out.push(other),
             }
         }
-        match out.len() {
-            0 => Formula::True,
-            1 => out.pop().expect("len checked"),
-            _ => Formula::And(out),
+        if out.len() > 1 {
+            return Formula::And(out);
         }
+        out.pop().unwrap_or(Formula::True)
     }
 
     /// Builds the disjunction of `fs`, flattening nested disjunctions and
@@ -70,11 +69,10 @@ impl Formula {
                 other => out.push(other),
             }
         }
-        match out.len() {
-            0 => Formula::False,
-            1 => out.pop().expect("len checked"),
-            _ => Formula::Or(out),
+        if out.len() > 1 {
+            return Formula::Or(out);
         }
+        out.pop().unwrap_or(Formula::False)
     }
 
     /// Builds the negation of `f`, folding constants and double negation.

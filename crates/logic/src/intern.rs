@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{OnceLock, RwLock};
+use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The global symbol table. Strings are leaked on first interning so that
 /// resolution hands out `&'static str` without holding a lock.
@@ -33,8 +33,13 @@ impl Interner {
         if let Some(&id) = self.map.get(s) {
             return id;
         }
+        let Ok(id) = u32::try_from(self.strings.len()) else {
+            // 2^32 distinct names: a further id would have to alias an
+            // existing symbol, and id equality is name equality, so stop
+            eprintln!("canvas-logic: symbol interner exhausted its 2^32 ids");
+            std::process::abort();
+        };
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = u32::try_from(self.strings.len()).expect("interner overflow");
         self.strings.push(leaked);
         self.map.insert(leaked, id);
         id
@@ -46,10 +51,21 @@ fn global() -> &'static RwLock<Interner> {
     GLOBAL.get_or_init(|| RwLock::new(Interner::default()))
 }
 
+// A poisoned lock still guards a consistent table: nothing in
+// `Interner::intern` can panic between its `strings` and `map` updates
+// (the overflow branch aborts), so a panicking holder left it whole.
+fn read() -> RwLockReadGuard<'static, Interner> {
+    global().read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write() -> RwLockWriteGuard<'static, Interner> {
+    global().write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Number of distinct symbols interned so far. Dense tables (bitsets,
 /// per-symbol caches) can be sized from this.
 pub fn interner_len() -> usize {
-    global().read().expect("interner lock").strings.len()
+    read().strings.len()
 }
 
 /// An interned string.
@@ -62,15 +78,15 @@ pub struct Symbol(u32);
 impl Symbol {
     /// Interns `s`, returning its symbol. Idempotent.
     pub fn intern(s: &str) -> Symbol {
-        if let Some(&id) = global().read().expect("interner lock").map.get(s) {
+        if let Some(&id) = read().map.get(s) {
             return Symbol(id);
         }
-        Symbol(global().write().expect("interner lock").intern(s))
+        Symbol(write().intern(s))
     }
 
     /// The interned string.
     pub fn as_str(self) -> &'static str {
-        global().read().expect("interner lock").strings[self.0 as usize]
+        read().strings[self.0 as usize]
     }
 
     /// The raw id; dense per-symbol tables index with this.
@@ -240,8 +256,9 @@ impl PredId {
         PredId(id)
     }
 
-    pub fn from_index(index: usize) -> PredId {
-        PredId(u32::try_from(index).expect("predicate index overflow"))
+    /// The id at dense position `index`; `None` past `u32::MAX`.
+    pub fn from_index(index: usize) -> Option<PredId> {
+        u32::try_from(index).ok().map(PredId)
     }
 
     /// The dense index for vector addressing.
@@ -293,8 +310,9 @@ mod tests {
 
     #[test]
     fn pred_ids_are_dense() {
-        let p = PredId::from_index(3);
+        let p = PredId::from_index(3).unwrap();
         assert_eq!(p.index(), 3);
+        assert_eq!(PredId::from_index(u32::MAX as usize + 1), None);
         assert!(PredId::new(0) < PredId::new(1));
     }
 }

@@ -96,7 +96,7 @@ impl ModelEnv {
                     .iter()
                     .enumerate()
                     .filter(|(_, q)| q.parent().as_ref() == Some(p))
-                    .map(|(j, q)| (FieldId(*q.fields().last().expect("has parent")), j))
+                    .filter_map(|(j, q)| q.fields().last().map(|f| (FieldId(*f), j)))
                     .collect()
             })
             .collect();

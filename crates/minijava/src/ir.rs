@@ -343,7 +343,10 @@ impl Program {
 
     /// Looks up a method by `Class.name`.
     pub fn method_named(&self, qualified: &str) -> Option<&MethodIr> {
-        self.methods.iter().find(|m| m.qualified_name() == qualified)
+        self.methods.iter().find(|m| {
+            let name = qualified.strip_prefix(m.class.as_str()).and_then(|r| r.strip_prefix('.'));
+            name == Some(m.name.as_str())
+        })
     }
 
     /// The `main` method (entry point), if declared.

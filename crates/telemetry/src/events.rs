@@ -370,10 +370,8 @@ pub fn next_span_id() -> u64 {
 mod tests {
     use super::*;
 
-    fn exclusive() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    // the crate-wide lock: telemetry state is process-global
+    use crate::tests::exclusive;
 
     #[test]
     fn levels_filter_and_parse() {

@@ -478,9 +478,10 @@ mod tests {
     use super::*;
     use std::sync::MutexGuard;
 
-    /// Telemetry state is process-global; tests in this binary serialise on
-    /// one lock so enable/reset windows don't overlap.
-    fn exclusive() -> MutexGuard<'static, ()> {
+    /// Telemetry state is process-global; every unit test of this crate that
+    /// touches it (the `scope`, `events` and `trace` tests too) serialises
+    /// on this one lock so enable/reset windows don't overlap.
+    pub(crate) fn exclusive() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }

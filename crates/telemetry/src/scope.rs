@@ -266,10 +266,8 @@ mod tests {
     use crate::{set_enabled, Counter, Histogram, Timer};
     use std::time::Duration;
 
-    fn exclusive() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    // the crate-wide lock: telemetry state is process-global
+    use crate::tests::exclusive;
 
     static S_WORK: Counter = Counter::new("scope_test.work");
     static S_TIME: Timer = Timer::new("scope_test.time");

@@ -205,13 +205,9 @@ pub(crate) fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
 
-    /// The buffer is process-global; serialise the tests that use it.
-    fn exclusive() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    // the crate-wide lock: telemetry state is process-global
+    use crate::tests::exclusive;
 
     #[test]
     fn off_by_default_is_a_no_op() {

@@ -381,7 +381,7 @@ impl<'a> Tx<'a> {
             Some(derived) => {
                 if let Some(sa) = derived.for_new(ty) {
                     let sa = sa.clone();
-                    self.compile_rules(&sa, None, args, Some(&n), &mut a);
+                    self.compile_rules(derived, &sa, None, args, Some(&n), &mut a);
                     if !sa.checks.is_empty() {
                         a.check = Some((self.compile_checks(&sa.checks, None, args), at.clone()));
                     }
@@ -468,7 +468,8 @@ impl<'a> Tx<'a> {
                     }
                     (None, _) => None,
                 };
-                self.compile_rules(&sa, Some(recv), args, alloc_name.as_deref(), &mut a);
+                let alloc = alloc_name.as_deref();
+                self.compile_rules(derived, &sa, Some(recv), args, alloc, &mut a);
                 vec![a]
             }
             None => self.translate_generic_call(dst, recv, &class, &m, args, focus, at),
@@ -685,13 +686,13 @@ impl<'a> Tx<'a> {
 
     fn compile_rules(
         &mut self,
+        derived: &Derived,
         sa: &StmtAbstraction,
         recv: Option<VarId>,
         args: &[VarId],
         alloc: Option<&str>,
         a: &mut Action,
     ) {
-        let derived = self.derived.expect("specialized mode");
         for fam in derived.families() {
             let fid = fam.id();
             let FamilyRepr::Stored(pred) = self.fam_repr[fid.index()] else {
@@ -821,9 +822,10 @@ impl<'a> Tx<'a> {
     ) {
         for stmt in m.body().to_vec() {
             let SpecStmt::Assign { lhs, rhs } = stmt;
+            // the parser only accepts assignments to fields
+            let Some(field) = lhs.fields().last() else { continue };
+            let field = Symbol::from(field.as_str());
             let mut a = self.act(format!("{}.{} body", class.name(), m.name()));
-            let field =
-                Symbol::from(lhs.fields().last().expect("assignments target fields").as_str());
             let owner_ty = self.spec_path_owner_ty(&lhs, class, m);
             let Some(&rv) = self.rv_comp.get(&(owner_ty, field)) else {
                 continue;

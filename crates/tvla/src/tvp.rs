@@ -124,11 +124,10 @@ impl Formula3 {
                 other => out.push(other),
             }
         }
-        match out.len() {
-            0 => Formula3::True,
-            1 => out.pop().expect("len checked"),
-            _ => Formula3::And(out),
+        if out.len() > 1 {
+            return Formula3::And(out);
         }
+        out.pop().unwrap_or(Formula3::True)
     }
 
     /// Disjunction helper (flattens, folds constants).
@@ -142,11 +141,10 @@ impl Formula3 {
                 other => out.push(other),
             }
         }
-        match out.len() {
-            0 => Formula3::False,
-            1 => out.pop().expect("len checked"),
-            _ => Formula3::Or(out),
+        if out.len() > 1 {
+            return Formula3::Or(out);
         }
+        out.pop().unwrap_or(Formula3::False)
     }
 
     /// Negation helper.

@@ -153,7 +153,7 @@ fn derive_impl(
     WP_DISJUNCT_SPLITS.add(d.stats.candidates as u64);
     WP_EQUIV_CHECKS.add(d.stats.equiv_checks as u64);
     WP_FAMILIES.add(d.families.len() as u64);
-    Ok(Derived::new(spec.name().to_string(), d.families, stmts, d.stats))
+    Ok(Derived::new(spec, d.families, stmts, d.stats))
 }
 
 type FormEntry = (StmtForm, Option<ClassSpec>, Option<MethodSpec>);
@@ -431,17 +431,18 @@ impl Deriver<'_> {
                 if self.equivalent_memo(&Formula::True, &inst, candidate) {
                     let rule_args =
                         args.iter().map(|v| self.to_rule_var(v, binding, inst_vars)).collect();
-                    return RuleRhs::Inst(PredId::from_index(g), rule_args);
+                    return RuleRhs::Inst(self.families[g].id(), rule_args);
                 }
             }
         }
 
-        // new family
-        if self.conservative && self.families.len() >= self.max_families {
+        // new family, unless the budget is spent (conservative mode) or the
+        // ids are (2^32 families, past any budget a process can hold)
+        let spent = self.conservative && self.families.len() >= self.max_families;
+        let Some(id) = PredId::from_index(self.families.len()).filter(|_| !spent) else {
             self.stats.unknown_rhs += 1;
             return RuleRhs::Unknown;
-        }
-        let id = PredId::from_index(self.families.len());
+        };
         let params: Vec<Var> =
             fv.iter().enumerate().map(|(k, v)| Var::new(format!("x{k}"), *v.ty())).collect();
         let formula = candidate.rename_vars(&|v| match fv.iter().position(|w| w == v) {
@@ -643,15 +644,15 @@ mod tests {
         let names: Vec<&str> = d.families().iter().map(|f| f.name()).collect();
         assert_eq!(names, ["stale", "iterof", "mutx", "same"], "{:#?}", d.families());
         // arities match Fig. 4
-        assert_eq!(d.family(FamilyId::from_index(0)).params().len(), 1);
-        assert_eq!(d.family(FamilyId::from_index(1)).params().len(), 2);
-        assert_eq!(d.family(FamilyId::from_index(2)).params().len(), 2);
-        assert_eq!(d.family(FamilyId::from_index(3)).params().len(), 2);
+        assert_eq!(d.family(FamilyId::new(0)).params().len(), 1);
+        assert_eq!(d.family(FamilyId::new(1)).params().len(), 2);
+        assert_eq!(d.family(FamilyId::new(2)).params().len(), 2);
+        assert_eq!(d.family(FamilyId::new(3)).params().len(), 2);
         // stale depends on the mutable version fields, the others do not
-        assert!(d.family(FamilyId::from_index(0)).mutable_dep());
-        assert!(!d.family(FamilyId::from_index(1)).mutable_dep());
-        assert!(!d.family(FamilyId::from_index(2)).mutable_dep());
-        assert!(!d.family(FamilyId::from_index(3)).mutable_dep());
+        assert!(d.family(FamilyId::new(0)).mutable_dep());
+        assert!(!d.family(FamilyId::new(1)).mutable_dep());
+        assert!(!d.family(FamilyId::new(2)).mutable_dep());
+        assert!(!d.family(FamilyId::new(3)).mutable_dep());
     }
 
     #[test]
@@ -660,7 +661,7 @@ mod tests {
         let d = derive_abstraction(&spec).unwrap();
         let add = d.for_call(&TypeName::new("Set"), "add").unwrap();
         // stalek := stalek ∨ iterof(k, v)   ∀k
-        let stale = FamilyId::from_index(0);
+        let stale = FamilyId::new(0);
         let rule = add.rule_for(stale, &[]).expect("add updates stale");
         assert_eq!(rule.target_args, vec![RuleVar::Univ(0)]);
         assert_eq!(rule.rhs.len(), 2);
@@ -679,7 +680,7 @@ mod tests {
         let spec = builtin::cmp();
         let d = derive_abstraction(&spec).unwrap();
         let next = d.for_call(&TypeName::new("Iterator"), "next").unwrap();
-        assert_eq!(next.checks, vec![RuleRhs::Inst(FamilyId::from_index(0), vec![RuleVar::Recv])]);
+        assert_eq!(next.checks, vec![RuleRhs::Inst(FamilyId::new(0), vec![RuleVar::Recv])]);
         // next has no updates at all
         assert!(next.rules.is_empty());
     }
@@ -690,17 +691,14 @@ mod tests {
         let d = derive_abstraction(&spec).unwrap();
         let it = d.for_call(&TypeName::new("Set"), "iterator").unwrap();
         // bound case: stale(lhs) := 0
-        let r = it
-            .rule_for(FamilyId::from_index(0), &[0])
-            .expect("iterator resets stale of its result");
+        let r = it.rule_for(FamilyId::new(0), &[0]).expect("iterator resets stale of its result");
         assert_eq!(r.rhs, Vec::new());
         // bound case: iterof(lhs, z) := same(rcv, z)
-        let r =
-            it.rule_for(FamilyId::from_index(1), &[0]).expect("iterator sets iterof of its result");
+        let r = it.rule_for(FamilyId::new(1), &[0]).expect("iterator sets iterof of its result");
         assert_eq!(r.rhs.len(), 1);
         assert!(matches!(&r.rhs[0], RuleRhs::Inst(f, _) if f.index() == 3));
         // unbound stale is untouched by iterator()
-        assert!(it.rule_for(FamilyId::from_index(0), &[]).is_none());
+        assert!(it.rule_for(FamilyId::new(0), &[]).is_none());
     }
 
     #[test]
@@ -708,11 +706,10 @@ mod tests {
         let spec = builtin::cmp();
         let d = derive_abstraction(&spec).unwrap();
         let rm = d.for_call(&TypeName::new("Iterator"), "remove").unwrap();
-        assert_eq!(rm.checks, vec![RuleRhs::Inst(FamilyId::from_index(0), vec![RuleVar::Recv])]);
-        let r = rm
-            .rule_for(FamilyId::from_index(0), &[])
-            .expect("remove stales mutually-excluded iterators");
-        assert!(r.rhs.contains(&RuleRhs::Inst(FamilyId::from_index(0), vec![RuleVar::Univ(0)])));
+        assert_eq!(rm.checks, vec![RuleRhs::Inst(FamilyId::new(0), vec![RuleVar::Recv])]);
+        let r =
+            rm.rule_for(FamilyId::new(0), &[]).expect("remove stales mutually-excluded iterators");
+        assert!(r.rhs.contains(&RuleRhs::Inst(FamilyId::new(0), vec![RuleVar::Univ(0)])));
         assert!(r
             .rhs
             .iter()
@@ -725,10 +722,10 @@ mod tests {
         let d = derive_abstraction(&spec).unwrap();
         let cp = d.for_copy(&TypeName::new("Iterator")).unwrap();
         // stale(lhs) := stale(src)
-        let r = cp.rule_for(FamilyId::from_index(0), &[0]).unwrap();
-        assert_eq!(r.rhs, vec![RuleRhs::Inst(FamilyId::from_index(0), vec![RuleVar::Arg(0)])]);
+        let r = cp.rule_for(FamilyId::new(0), &[0]).unwrap();
+        assert_eq!(r.rhs, vec![RuleRhs::Inst(FamilyId::new(0), vec![RuleVar::Arg(0)])]);
         // mutx(lhs, z) := mutx(src, z)
-        let r = cp.rule_for(FamilyId::from_index(2), &[0]).unwrap();
+        let r = cp.rule_for(FamilyId::new(2), &[0]).unwrap();
         assert_eq!(r.rhs.len(), 1);
     }
 
@@ -768,7 +765,7 @@ mod tests {
     fn family_display_and_instantiate() {
         let spec = builtin::cmp();
         let d = derive_abstraction(&spec).unwrap();
-        let stale = d.family(FamilyId::from_index(0));
+        let stale = d.family(FamilyId::new(0));
         assert!(stale.to_string().starts_with("stale(x0: Iterator)"));
         let i1 = Var::new("i1", TypeName::new("Iterator"));
         let inst = stale.instantiate(&[i1]);

@@ -25,12 +25,8 @@ fn fig5_method_abstractions() {
     let d = derive_abstraction(&canvas_conformance::easl::builtin::cmp()).expect("derives");
     let set = TypeName::new("Set");
     let iterator = TypeName::new("Iterator");
-    let (stale, iterof, mutx, same) = (
-        FamilyId::from_index(0),
-        FamilyId::from_index(1),
-        FamilyId::from_index(2),
-        FamilyId::from_index(3),
-    );
+    let (stale, iterof, mutx, same) =
+        (FamilyId::new(0), FamilyId::new(1), FamilyId::new(2), FamilyId::new(3));
 
     // v = new Set(): same(v,z) := 0, same(z,v) := 0, iterof(k,v) := 0
     let new_set = d.for_new(&set).expect("abstraction for new Set");

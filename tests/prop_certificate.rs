@@ -3,6 +3,7 @@
 //! `checker accepts ⇔ engine certified` over the whole corpus — and must
 //! reject every mutated, truncated, or inconsistent certificate.
 
+use canvas_conformance::abstraction::EntryAssumption;
 use canvas_conformance::check::{self, CheckError};
 use canvas_conformance::core::{CellSolution, Certificate};
 use canvas_conformance::suite::corpus;
@@ -191,6 +192,35 @@ fn binding_and_coverage_are_enforced() {
     let err = check::check_text(src, &spec, certifier.derived(), &truncated.to_text())
         .expect_err("missing cell");
     assert!(matches!(err, CheckError::MissingCell { .. }));
+
+    // cells may come in any order, but each exactly once
+    let check = |cert: &Certificate| check::check(src, &spec, certifier.derived(), cert);
+    let mut swapped = cert.clone();
+    swapped.cells.swap(0, 1);
+    assert!(check(&swapped).is_ok());
+    let mut duplicated = cert.clone();
+    duplicated.cells.push(cert.cells[1].clone());
+    let extra = CheckError::ExtraCell { method: "Main.other".to_string() };
+    assert_eq!(check(&duplicated), Err(extra));
+
+    // a missing cell is reported before an extra one, main's first
+    let mut renamed = cert.clone();
+    renamed.cells[1].method = "Main.other.".to_string();
+    assert_eq!(
+        check(&renamed),
+        Err(CheckError::MissingCell {
+            method: "Main.other".to_string(),
+            entry: EntryAssumption::Unknown
+        })
+    );
+    renamed.cells[0].entry = EntryAssumption::Unknown;
+    assert_eq!(
+        check(&renamed),
+        Err(CheckError::MissingCell {
+            method: "Main.main".to_string(),
+            entry: EntryAssumption::Clean
+        })
+    );
 }
 
 fn builtin_spec(name: &str) -> canvas_conformance::easl::Spec {
