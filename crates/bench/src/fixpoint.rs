@@ -27,7 +27,7 @@ use canvas_dataflow::{fds, DeltaSeed};
 use canvas_faults::Meter;
 use canvas_suite::generators;
 
-use crate::json::{obj, Json};
+use crate::json::{bench_document, obj, Json};
 use crate::{fmt_duration, render_header, INCR_BASE, INCR_EDIT_FROM, INCR_EDIT_TO};
 
 /// One point of the E12 kernel sweep: a generated client solved by both
@@ -292,26 +292,10 @@ pub fn fixpoint_to_json(m: &FixpointMetrics) -> Json {
             })
             .collect(),
     );
-    obj(vec![
-        ("schema", Json::Str("canvas-bench-eval/2".to_string())),
-        (
-            "deterministic",
-            obj(vec![("sweep", det_sweep), ("delta", det_delta), ("counters", counters)]),
-        ),
-        ("measured", obj(vec![("sweep", measured)])),
-    ])
-}
-
-/// Compares an `eval fixpoint` document against the committed baseline:
-/// the document's `"deterministic"` subtree against the baseline's
-/// top-level `"fixpoint"` key (a sibling of the main eval's
-/// `"deterministic"` section, so the two gates never collide).
-pub fn fixpoint_drift(current: &Json, baseline: &Json) -> Vec<String> {
-    match (current.get("deterministic"), baseline.get("fixpoint")) {
-        (Some(c), Some(b)) => crate::json::diff(c, b),
-        (None, _) => vec!["missing \"deterministic\" section in the current document".to_string()],
-        (_, None) => vec!["missing \"fixpoint\" section in the baseline".to_string()],
-    }
+    bench_document(
+        obj(vec![("sweep", det_sweep), ("delta", det_delta), ("counters", counters)]),
+        obj(vec![("sweep", measured)]),
+    )
 }
 
 /// E12 as text, exactly as `eval fixpoint` prints it.
@@ -428,6 +412,7 @@ mod tests {
     fn fixpoint_document_round_trips_and_gates_itself() {
         let m = FixpointMetrics { sweep: fixpoint_sweep(&[4]), delta: delta_table() };
         let doc = fixpoint_to_json(&m);
+        crate::tests::assert_bench_envelope(&doc);
         let text = doc.render();
         let back = Json::parse(&text).expect("parses");
         // a baseline whose "fixpoint" key is this run's deterministic
@@ -436,7 +421,7 @@ mod tests {
             "fixpoint",
             back.get("deterministic").expect("deterministic section").clone(),
         )]);
-        assert!(fixpoint_drift(&back, &baseline).is_empty());
+        assert!(crate::baseline_drift(&back, &baseline, "fixpoint").is_empty());
         // and a drifted counter must be caught
         let drifted = Json::parse(&text.replace("\"edge_visits\":", "\"edge_visits0\":"))
             .expect("still JSON");
@@ -444,6 +429,8 @@ mod tests {
             "fixpoint",
             drifted.get("deterministic").expect("deterministic section").clone(),
         )]);
-        assert!(!fixpoint_drift(&back, &base2).is_empty());
+        assert!(!crate::baseline_drift(&back, &base2, "fixpoint").is_empty());
+        // and a baseline without the key is drift, not a pass
+        assert!(!crate::baseline_drift(&back, &obj(vec![]), "fixpoint").is_empty());
     }
 }

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use crate::json::{obj, Json};
+use crate::json::{bench_document, obj, Json};
 use crate::{fmt_duration, render_header};
 use canvas_core::Engine;
 use canvas_fleet::{generate_with_threads, run_fleet, FleetConfig, FleetItem, GenParams, Manifest};
@@ -183,68 +183,49 @@ pub fn collect_fleet_metrics() -> FleetBenchMetrics {
     }
 }
 
-/// The `canvas-bench-eval/2` document for the fleet benchmark.
+/// The `canvas-bench-eval/2` document for the fleet benchmark. Its
+/// deterministic section is gated under the baseline's `"fleet"` key.
 pub fn fleet_to_json(m: &FleetBenchMetrics) -> Json {
-    obj(vec![
-        ("schema", Json::Str("canvas-bench-eval/2".to_string())),
-        (
-            "deterministic",
+    let sweep = m
+        .sweep
+        .iter()
+        .map(|r| {
             obj(vec![
-                ("programs", Json::Int(m.programs as u64)),
-                ("seed", Json::Int(m.seed)),
-                ("manifest_digest", Json::Str(m.manifest_digest.clone())),
-                ("certified", Json::Int(m.certified as u64)),
-                ("violating", Json::Int(m.violating as u64)),
-                ("violation_sites", Json::Int(m.violation_sites as u64)),
-                ("inconclusive", Json::Int(m.inconclusive as u64)),
-                ("truth_mismatches", Json::Int(m.truth_mismatches as u64)),
-                ("corpus_digest", Json::Str(m.corpus_digest.clone())),
-                ("shard_digests_agree", Json::Bool(m.shard_digests_agree)),
-                ("warm_misses", Json::Int(m.warm_misses)),
-                ("warm_digest_matches", Json::Bool(m.warm_digest_matches)),
-            ]),
-        ),
-        (
-            "measured",
-            obj(vec![
-                ("warm_hits", Json::Int(m.warm_hits)),
-                ("warm_seeded", Json::Int(m.warm_seeded)),
-                ("cold_wall_ms", Json::Int(m.cold_wall.as_millis() as u64)),
-                ("warm_wall_ms", Json::Int(m.warm_wall.as_millis() as u64)),
-                (
-                    "sweep",
-                    Json::Arr(
-                        m.sweep
-                            .iter()
-                            .map(|r| {
-                                obj(vec![
-                                    ("shards", Json::Int(r.shards as u64)),
-                                    ("wall_ms", Json::Int(r.wall.as_millis() as u64)),
-                                    ("merge_ms", Json::Int(r.merge_wall.as_millis() as u64)),
-                                    ("steals", Json::Int(r.steals)),
-                                    ("hits", Json::Int(r.hits)),
-                                    ("misses", Json::Int(r.misses)),
-                                    ("merged", Json::Int(r.merged)),
-                                    ("duplicates", Json::Int(r.duplicates)),
-                                    ("conflicts", Json::Int(r.conflicts)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-    ])
-}
-
-/// Compares a freshly collected document's deterministic section against
-/// the committed baseline's `"fleet"` key. Empty result = no drift.
-pub fn fleet_drift(current: &Json, baseline: &Json) -> Vec<String> {
-    match (current.get("deterministic"), baseline.get("fleet")) {
-        (Some(c), Some(b)) => crate::json::diff(c, b),
-        (None, _) => vec!["missing \"deterministic\" section in the current document".to_string()],
-        (_, None) => vec!["missing \"fleet\" section in the baseline".to_string()],
-    }
+                ("shards", Json::Int(r.shards as u64)),
+                ("wall_ms", Json::Int(r.wall.as_millis() as u64)),
+                ("merge_ms", Json::Int(r.merge_wall.as_millis() as u64)),
+                ("steals", Json::Int(r.steals)),
+                ("hits", Json::Int(r.hits)),
+                ("misses", Json::Int(r.misses)),
+                ("merged", Json::Int(r.merged)),
+                ("duplicates", Json::Int(r.duplicates)),
+                ("conflicts", Json::Int(r.conflicts)),
+            ])
+        })
+        .collect();
+    bench_document(
+        obj(vec![
+            ("programs", Json::Int(m.programs as u64)),
+            ("seed", Json::Int(m.seed)),
+            ("manifest_digest", Json::Str(m.manifest_digest.clone())),
+            ("certified", Json::Int(m.certified as u64)),
+            ("violating", Json::Int(m.violating as u64)),
+            ("violation_sites", Json::Int(m.violation_sites as u64)),
+            ("inconclusive", Json::Int(m.inconclusive as u64)),
+            ("truth_mismatches", Json::Int(m.truth_mismatches as u64)),
+            ("corpus_digest", Json::Str(m.corpus_digest.clone())),
+            ("shard_digests_agree", Json::Bool(m.shard_digests_agree)),
+            ("warm_misses", Json::Int(m.warm_misses)),
+            ("warm_digest_matches", Json::Bool(m.warm_digest_matches)),
+        ]),
+        obj(vec![
+            ("warm_hits", Json::Int(m.warm_hits)),
+            ("warm_seeded", Json::Int(m.warm_seeded)),
+            ("cold_wall_ms", Json::Int(m.cold_wall.as_millis() as u64)),
+            ("warm_wall_ms", Json::Int(m.warm_wall.as_millis() as u64)),
+            ("sweep", Json::Arr(sweep)),
+        ]),
+    )
 }
 
 /// Renders the E15 table.
@@ -312,11 +293,12 @@ mod tests {
         assert_eq!(m.warm_misses, 0, "warm re-run recomputes nothing");
         assert!(m.warm_digest_matches, "warm re-run reproduces the digest");
         let doc = fleet_to_json(&m);
+        crate::tests::assert_bench_envelope(&doc);
         let det = doc.get("deterministic").expect("deterministic section").clone();
         let baseline = obj(vec![("fleet", det)]);
-        assert!(fleet_drift(&doc, &baseline).is_empty(), "self-baseline shows no drift");
+        assert!(crate::baseline_drift(&doc, &baseline, "fleet").is_empty(), "self-baseline");
         let corrupt = obj(vec![("fleet", obj(vec![("programs", Json::Int(7))]))]);
-        assert!(!fleet_drift(&doc, &corrupt).is_empty(), "corrupted baseline is caught");
+        assert!(!crate::baseline_drift(&doc, &corrupt, "fleet").is_empty(), "corruption caught");
         let text = render_fleet(&m);
         assert!(text.contains("E15: fleet shard sweep"));
         assert!(text.contains("warm re-run: 0 misses"));

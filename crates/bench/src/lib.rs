@@ -443,7 +443,7 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Everything `eval --metrics-json` emits: the E1 derivation rows, the
+/// Everything `eval --json` emits: the E1 derivation rows, the
 /// E4/E5 precision+timing cells, and a telemetry snapshot of the whole run.
 pub struct EvalMetrics {
     /// E1 derivation rows.
@@ -625,30 +625,28 @@ pub fn metrics_to_json(m: &EvalMetrics) -> json::Json {
             })
             .collect(),
     );
-    obj(vec![
-        ("schema", Json::Str("canvas-bench-eval/2".to_string())),
-        (
-            "deterministic",
-            obj(vec![
-                ("derivation", derivation),
-                ("cells", det_cells),
-                ("incremental", det_incremental),
-                ("counters", det_counters),
-            ]),
-        ),
-        (
-            "measured",
-            obj(vec![("cells", timed_cells), ("counters", nondet_counters), ("timers", timers)]),
-        ),
-    ])
+    json::bench_document(
+        obj(vec![
+            ("derivation", derivation),
+            ("cells", det_cells),
+            ("incremental", det_incremental),
+            ("counters", det_counters),
+        ]),
+        obj(vec![("cells", timed_cells), ("counters", nondet_counters), ("timers", timers)]),
+    )
 }
 
-/// Compares the `"deterministic"` subtrees of two `canvas-bench-eval/2`
-/// documents; returns the drift as human-readable lines (empty = no drift).
-pub fn deterministic_drift(current: &json::Json, baseline: &json::Json) -> Vec<String> {
-    match (current.get("deterministic"), baseline.get("deterministic")) {
+/// Compares a document's `"deterministic"` section against `baseline`'s
+/// `key` section; returns the drift as human-readable lines (empty = no
+/// drift). `bench/baseline.json` keeps each gated experiment's section
+/// under its own key (`deterministic` for the table run, `fixpoint`,
+/// `fleet`); comparing two documents of one experiment uses
+/// `"deterministic"`.
+pub fn baseline_drift(current: &json::Json, baseline: &json::Json, key: &str) -> Vec<String> {
+    match (current.get("deterministic"), baseline.get(key)) {
         (Some(c), Some(b)) => json::diff(c, b),
-        _ => vec!["missing \"deterministic\" section in one of the documents".to_string()],
+        (None, _) => vec!["missing \"deterministic\" section in the current document".to_string()],
+        (_, None) => vec![format!("missing {key:?} section in the baseline")],
     }
 }
 
@@ -1094,6 +1092,26 @@ pub fn render_incr() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Asserts the one benchmark envelope: exactly the top-level keys
+    /// `schema`, `deterministic` and `measured`, under the one tag.
+    pub(crate) fn assert_bench_envelope(doc: &json::Json) {
+        let json::Json::Obj(pairs) = doc else { panic!("not an object: {doc:?}") };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["schema", "deterministic", "measured"]);
+        assert_eq!(doc.get("schema"), Some(&json::Json::Str(json::BENCH_SCHEMA.to_string())));
+    }
+
+    #[test]
+    fn eval_document_has_the_bench_envelope() {
+        let m = EvalMetrics {
+            derivation: derivation_table(),
+            cells: Vec::new(),
+            incremental: Vec::new(),
+            snapshot: canvas_telemetry::snapshot(),
+        };
+        assert_bench_envelope(&metrics_to_json(&m));
+    }
 
     #[test]
     fn derivation_table_shape() {

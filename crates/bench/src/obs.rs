@@ -29,7 +29,7 @@ use std::time::Instant;
 use canvas_core::{Certifier, Engine};
 use canvas_suite::generators;
 
-use crate::json::{obj, Json};
+use crate::json::{bench_document, obj, Json};
 
 /// Basis-point ceiling for the enabled-telemetry overhead (2%).
 pub const ENABLED_LIMIT_BP: u64 = 200;
@@ -153,6 +153,8 @@ fn lcg(state: &mut u64) -> u64 {
     *state
 }
 
+/// The exact nearest-rank percentile of sorted samples: the reference the
+/// fidelity rows hold the histogram's estimates against.
 fn exact_percentile(sorted: &[u64], q: f64) -> u64 {
     let n = sorted.len() as u64;
     let target = ((q * n as f64).ceil() as u64).clamp(1, n);
@@ -282,8 +284,9 @@ pub fn render_obs(r: &ObsReport) -> String {
     out
 }
 
-/// The stable `canvas-bench-obs/1` document (`BENCH_obs.json`). Timings are
-/// measured, the fidelity rows are deterministic.
+/// The stable `canvas-bench-eval/2` document (`BENCH_obs.json`). The
+/// configuration and the fidelity rows (fixed seed) are deterministic; the
+/// overhead timings are measured.
 pub fn obs_to_json(r: &ObsReport) -> Json {
     let overhead = Json::Arr(
         r.overhead
@@ -312,20 +315,16 @@ pub fn obs_to_json(r: &ObsReport) -> Json {
             })
             .collect(),
     );
-    obj(vec![
-        ("schema", Json::Str("canvas-bench-obs/1".to_string())),
-        (
-            "config",
-            obj(vec![
-                ("iterations_per_sample", Json::Int(r.iterations_per_sample)),
-                ("samples_per_mode", Json::Int(r.samples_per_mode)),
-                ("enabled_limit_bp", Json::Int(ENABLED_LIMIT_BP)),
-                ("scoped_limit_bp", Json::Int(SCOPED_LIMIT_BP)),
-            ]),
-        ),
-        ("overhead", overhead),
-        ("quantiles", quantiles),
-    ])
+    let config = obj(vec![
+        ("iterations_per_sample", Json::Int(r.iterations_per_sample)),
+        ("samples_per_mode", Json::Int(r.samples_per_mode)),
+        ("enabled_limit_bp", Json::Int(ENABLED_LIMIT_BP)),
+        ("scoped_limit_bp", Json::Int(SCOPED_LIMIT_BP)),
+    ]);
+    bench_document(
+        obj(vec![("config", config), ("quantiles", quantiles)]),
+        obj(vec![("overhead", overhead)]),
+    )
 }
 
 /// Gates the report: enabled/scoped overhead under their basis-point
@@ -463,6 +462,10 @@ mod tests {
         assert_eq!(fails.len(), 2, "{fails:?}");
         assert!(fails[0].contains("enabled overhead 300bp"));
         assert!(fails[1].contains("factor-2"));
+        let doc = obs_to_json(&report);
+        crate::tests::assert_bench_envelope(&doc);
+        let det = doc.get("deterministic").expect("deterministic section");
+        assert!(det.get("quantiles").is_some() && det.get("overhead").is_none(), "{det:?}");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use canvas_incr::json::{obj, Json};
+use canvas_incr::json::{bench_document, obj, Json};
 use canvas_incr::net::serve_listener;
 use canvas_incr::service::ServeConfig;
 
@@ -46,9 +46,10 @@ pub struct OverloadPoint {
     pub admitted: u64,
     /// Requests answered in-band with `shed: true`.
     pub shed: u64,
-    /// Median round-trip of admitted requests.
+    /// Median round-trip of admitted requests (a log₂-histogram estimate,
+    /// within a factor of 2 of the exact value).
     pub p50: Duration,
-    /// 99th-percentile round-trip of admitted requests.
+    /// 99th-percentile round-trip of admitted requests (same estimate).
     pub p99: Duration,
     /// Wall-clock of the whole point (first send to last response).
     pub wall: Duration,
@@ -101,14 +102,6 @@ fn mix_line(load: u64, k: usize) -> String {
         variant_source(load, variant_slot(k)),
         tenants[k % 4]
     )
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 fn scrape_cache(
@@ -174,7 +167,7 @@ pub fn collect_overload() -> Result<OverloadReport, String> {
             );
             let n = REQUESTS_PER_POINT;
             let start = Instant::now();
-            let mut latencies = Vec::with_capacity(n);
+            let latency = canvas_telemetry::Histogram::new("overload.admitted_latency_ns");
             let mut shed = 0u64;
             // open loop: the sender keeps its arrival schedule regardless
             // of response progress; send timestamps flow to the reader
@@ -202,22 +195,23 @@ pub fn collect_overload() -> Result<OverloadReport, String> {
                     if line.contains("\"shed\":true") {
                         shed += 1;
                     } else {
-                        latencies.push(arrived.saturating_duration_since(sent));
+                        let rtt = arrived.saturating_duration_since(sent).as_nanos();
+                        latency.record_value(rtt.min(u128::from(u64::MAX)) as u64);
                     }
                 }
                 sender.join().map_err(|_| "sender panicked".to_string())?
             })?;
             let wall = start.elapsed();
-            latencies.sort_unstable();
+            let stat = latency.stat();
             let (cache_bytes, cache_hits, cache_misses, cache_evictions) =
                 scrape_cache(&mut reader, &mut stream)?;
             points.push(OverloadPoint {
                 load,
                 offered: n as u64,
-                admitted: latencies.len() as u64,
+                admitted: stat.count,
                 shed,
-                p50: percentile(&latencies, 0.50),
-                p99: percentile(&latencies, 0.99),
+                p50: Duration::from_nanos(stat.p50),
+                p99: Duration::from_nanos(stat.p99),
                 wall,
                 cache_bytes,
                 cache_hits,
@@ -282,52 +276,58 @@ pub fn gate_overload(r: &OverloadReport) -> Vec<String> {
     fails
 }
 
-/// The stable `canvas-bench-overload/1` document (integers only).
+/// The stable `canvas-bench-eval/2` document (integers only). The daemon
+/// configuration and the offered counts are deterministic; everything the
+/// schedule decides (admission, shedding, latency, cache traffic) is
+/// measured.
 pub fn overload_to_json(r: &OverloadReport) -> Json {
     let ns = |d: Duration| Json::Int(d.as_nanos().min(u128::from(u64::MAX)) as u64);
-    let points = Json::Arr(
-        r.points
-            .iter()
-            .map(|p| {
-                let throughput_rps = if p.wall.is_zero() {
-                    0
-                } else {
-                    (p.admitted as u128 * 1_000_000_000 / p.wall.as_nanos().max(1)) as u64
-                };
-                // integer-only schema: the shed *rate* ships as per-10000
-                let shed_per_10000 = (p.shed * 10_000).checked_div(p.offered).unwrap_or(0);
-                obj(vec![
-                    ("load", Json::Int(p.load)),
-                    ("offered", Json::Int(p.offered)),
-                    ("admitted", Json::Int(p.admitted)),
-                    ("shed", Json::Int(p.shed)),
-                    ("shed_per_10000", Json::Int(shed_per_10000)),
-                    ("p50_ns", ns(p.p50)),
-                    ("p99_ns", ns(p.p99)),
-                    ("wall_ns", ns(p.wall)),
-                    ("throughput_rps", Json::Int(throughput_rps)),
-                    (
-                        "cache",
-                        obj(vec![
-                            ("memory_bytes", Json::Int(p.cache_bytes)),
-                            ("budget_bytes", Json::Int(CACHE_BYTES)),
-                            ("hits", Json::Int(p.cache_hits)),
-                            ("misses", Json::Int(p.cache_misses)),
-                            ("evictions", Json::Int(p.cache_evictions)),
-                        ]),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    obj(vec![
-        ("schema", Json::Str("canvas-bench-overload/1".to_string())),
-        ("workers", Json::Int(WORKERS as u64)),
-        ("queue", Json::Int(QUEUE_CAP as u64)),
-        ("cache_budget_bytes", Json::Int(CACHE_BYTES)),
-        ("service_ns", ns(r.service)),
-        ("points", points),
-    ])
+    let offered = r
+        .points
+        .iter()
+        .map(|p| obj(vec![("load", Json::Int(p.load)), ("offered", Json::Int(p.offered))]))
+        .collect();
+    let points = r
+        .points
+        .iter()
+        .map(|p| {
+            let throughput_rps = if p.wall.is_zero() {
+                0
+            } else {
+                (p.admitted as u128 * 1_000_000_000 / p.wall.as_nanos().max(1)) as u64
+            };
+            // integer-only schema: the shed *rate* ships as per-10000
+            let shed_per_10000 = (p.shed * 10_000).checked_div(p.offered).unwrap_or(0);
+            obj(vec![
+                ("load", Json::Int(p.load)),
+                ("admitted", Json::Int(p.admitted)),
+                ("shed", Json::Int(p.shed)),
+                ("shed_per_10000", Json::Int(shed_per_10000)),
+                ("p50_ns", ns(p.p50)),
+                ("p99_ns", ns(p.p99)),
+                ("wall_ns", ns(p.wall)),
+                ("throughput_rps", Json::Int(throughput_rps)),
+                (
+                    "cache",
+                    obj(vec![
+                        ("memory_bytes", Json::Int(p.cache_bytes)),
+                        ("hits", Json::Int(p.cache_hits)),
+                        ("misses", Json::Int(p.cache_misses)),
+                        ("evictions", Json::Int(p.cache_evictions)),
+                    ]),
+                ),
+            ])
+        })
+        .collect();
+    bench_document(
+        obj(vec![
+            ("workers", Json::Int(WORKERS as u64)),
+            ("queue", Json::Int(QUEUE_CAP as u64)),
+            ("cache_budget_bytes", Json::Int(CACHE_BYTES)),
+            ("points", Json::Arr(offered)),
+        ]),
+        obj(vec![("service_ns", ns(r.service)), ("points", Json::Arr(points))]),
+    )
 }
 
 /// E14 as text.
@@ -365,4 +365,44 @@ pub fn render_overload(r: &OverloadReport) -> String {
         );
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn point(load: u64, admitted: u64, shed: u64, p99_ms: u64) -> OverloadPoint {
+        OverloadPoint {
+            load,
+            offered: admitted + shed,
+            admitted,
+            shed,
+            p50: Duration::from_millis(1),
+            p99: Duration::from_millis(p99_ms),
+            wall: Duration::from_millis(100),
+            cache_bytes: CACHE_BYTES / 2,
+            cache_hits: 3,
+            cache_misses: 1,
+            cache_evictions: 0,
+        }
+    }
+
+    /// The document and the gate are built from a hand-made report, so no
+    /// socket is opened.
+    #[test]
+    fn overload_document_splits_offered_from_measured_and_gates() {
+        let report = OverloadReport {
+            service: Duration::from_millis(1),
+            points: vec![point(1, 120, 0, 2), point(4, 100, 20, 5), point(16, 40, 80, 9)],
+        };
+        assert!(gate_overload(&report).is_empty(), "{:?}", gate_overload(&report));
+        let doc = overload_to_json(&report);
+        crate::tests::assert_bench_envelope(&doc);
+        let det = doc.get("deterministic").expect("deterministic section").render_compact();
+        assert!(det.contains("{\"load\":16,\"offered\":120}"), "{det}");
+        assert!(!det.contains("admitted") && !det.contains("service"), "{det}");
+        // an unbounded admitted p99 at 16x breaks the gate
+        let slow = OverloadReport { points: vec![point(16, 40, 80, 1_000)], ..report };
+        assert!(gate_overload(&slow)[0].contains("bounded-queue ceiling"));
+    }
 }

@@ -344,8 +344,11 @@ pub fn run_fleet(items: &[FleetItem], cfg: &FleetConfig) -> Result<FleetReport, 
         })
         .collect();
 
+    // taken by the one worker the injected shard-death fault kills
+    let death = AtomicBool::new(false);
     std::thread::scope(|scope| {
         for w in 0..shards {
+            let death = &death;
             let cursors = &cursors;
             let ends = &ends;
             let slots = &slots;
@@ -373,11 +376,19 @@ pub fn run_fleet(items: &[FleetItem], cfg: &FleetConfig) -> Result<FleetReport, 
                     };
                     let mut completed = 0u64;
                     while let Some((idx, stolen)) = claim(cursors, ends, w) {
-                        // injected fault: this worker dies between programs;
-                        // the claimed index is its lost in-flight program
-                        if w == 0 && completed >= 1 && canvas_faults::active(Fault::ShardDeath) {
+                        // injected fault: the first worker, of any index,
+                        // to claim a program after completing one dies
+                        // between programs (a corpus with more programs than
+                        // shards always has one, whatever the schedule); the
+                        // claimed index is its lost in-flight program
+                        if completed >= 1
+                            && canvas_faults::active(Fault::ShardDeath)
+                            && death
+                                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                                .is_ok()
+                        {
                             panic!(
-                                "injected fault shard-death: fleet worker 0 died mid-corpus \
+                                "injected fault shard-death: fleet worker {w} died mid-corpus \
                                  (in-flight: {})",
                                 items[idx].name
                             );

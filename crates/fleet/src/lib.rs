@@ -15,7 +15,7 @@
 //!   end, optionally fanning out to `canvas serve --listen` backends;
 //! * [`report`] — the aggregated fleet report: verdicts, ground-truth
 //!   mismatches, cache/merge traffic, per-shard latency histograms, as a
-//!   table and as the stable `canvas-bench-fleet/1` JSON document.
+//!   table and as the stable `canvas-bench-eval/2` JSON document.
 //!
 //! # Example
 //!
@@ -65,6 +65,7 @@ mod tests {
     use super::*;
     use canvas_core::Engine;
     use canvas_incr::fingerprint::fingerprint_source;
+    use canvas_incr::json::{Json, BENCH_SCHEMA};
 
     fn items_of(corpus: &[GeneratedProgram]) -> Vec<FleetItem> {
         corpus
@@ -125,8 +126,22 @@ mod tests {
         assert_eq!(baseline.truth_mismatches, 0);
         assert!(baseline.violating > 0, "default rate produces some violations");
         assert!(baseline.certified > 0, "and some certified programs");
+        // the report is a benchmark document whose deterministic section
+        // is the same at every shard count
+        let doc = baseline.to_json();
+        let keys: Vec<&str> = match &doc {
+            Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => Vec::new(),
+        };
+        assert_eq!(keys, ["schema", "deterministic", "measured"]);
+        assert_eq!(doc.get("schema"), Some(&Json::Str(BENCH_SCHEMA.to_string())));
         for shards in [2usize, 3, 8] {
             let report = run_fleet(&items, &cmp_config(shards)).expect("fleet runs");
+            assert_eq!(
+                report.to_json().get("deterministic"),
+                doc.get("deterministic"),
+                "{shards} shards"
+            );
             assert_eq!(report.certified, baseline.certified, "{shards} shards");
             assert_eq!(report.violating, baseline.violating, "{shards} shards");
             assert_eq!(report.violation_sites, baseline.violation_sites, "{shards} shards");
@@ -167,7 +182,8 @@ mod tests {
 
     /// Satellite: an injected worker death poisons only its shard — its
     /// in-flight program is lost, the rest of its partition is stolen and
-    /// completed by the surviving shards.
+    /// completed by the surviving shards. Exactly one worker dies, whichever
+    /// claims a second program first.
     #[test]
     fn shard_death_poisons_only_the_dead_shard() {
         let _serial = fleet_runs();
@@ -182,7 +198,7 @@ mod tests {
         canvas_faults::unforce();
         std::panic::set_hook(prev);
         let report = report.expect("fleet survives a worker death");
-        assert_eq!(report.dead_shards, 1, "only worker 0 dies");
+        assert_eq!(report.dead_shards, 1, "exactly one worker dies");
         assert_eq!(report.poisoned_programs, 1, "only its in-flight program is lost");
         assert_eq!(
             report.programs - report.poisoned_programs,

@@ -1,5 +1,5 @@
 //! The aggregated fleet report: table rendering and the
-//! `canvas-bench-fleet/1` JSON document.
+//! `canvas-bench-eval/2` JSON document.
 //!
 //! The document is split the same way the evaluation metrics are: a
 //! `deterministic` section (verdict counts, ground-truth mismatches, the
@@ -12,11 +12,8 @@
 use std::time::Duration;
 
 use canvas_incr::fingerprint::Fingerprint;
-use canvas_incr::json::{obj, Json};
+use canvas_incr::json::{bench_document, obj, Json};
 use canvas_telemetry::HistogramStat;
-
-/// The `canvas fleet` JSON format tag.
-pub const REPORT_FORMAT: &str = "canvas-bench-fleet/1";
 
 /// Per-shard outcome row.
 #[derive(Clone, Debug)]
@@ -165,82 +162,70 @@ impl FleetReport {
         out
     }
 
-    /// Renders the `canvas-bench-fleet/1` JSON document.
+    /// Renders the `canvas-bench-eval/2` JSON document.
     pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("format", Json::Str(REPORT_FORMAT.to_string())),
-            (
-                "deterministic",
+        let manifest_digest = match self.manifest_digest {
+            Some(m) => Json::Str(m.to_string()),
+            None => Json::Null,
+        };
+        let shard_rows = self
+            .shard_rows
+            .iter()
+            .map(|r| {
                 obj(vec![
-                    ("programs", Json::Int(self.programs as u64)),
-                    ("certified", Json::Int(self.certified as u64)),
-                    ("violating", Json::Int(self.violating as u64)),
-                    ("violation_sites", Json::Int(self.violation_sites as u64)),
-                    ("inconclusive", Json::Int(self.inconclusive as u64)),
-                    ("truth_checked", Json::Int(self.truth_checked as u64)),
-                    ("truth_mismatches", Json::Int(self.truth_mismatches as u64)),
-                    ("corpus_digest", Json::Str(self.corpus_digest.to_string())),
-                    (
-                        "manifest_digest",
-                        match self.manifest_digest {
-                            Some(m) => Json::Str(m.to_string()),
-                            None => Json::Null,
-                        },
-                    ),
-                    ("engine", Json::Str(self.engine.clone())),
-                    ("spec", Json::Str(self.spec.clone())),
-                ]),
-            ),
-            (
-                "measured",
-                obj(vec![
-                    ("mode", Json::Str(self.mode.clone())),
-                    ("shards", Json::Int(self.shards_requested as u64)),
-                    ("wall_ms", Json::Int(self.wall.as_millis() as u64)),
-                    ("merge_ms", Json::Int(self.merge_wall.as_millis() as u64)),
-                    ("steals", Json::Int(self.steals)),
-                    ("poisoned_programs", Json::Int(self.poisoned_programs as u64)),
-                    ("dead_shards", Json::Int(self.dead_shards as u64)),
-                    (
-                        "cache",
-                        obj(vec![
-                            ("hits", Json::Int(self.cache.hits)),
-                            ("misses", Json::Int(self.cache.misses)),
-                            ("delta_seeded", Json::Int(self.cache.delta_seeded)),
-                            ("seeded", Json::Int(self.cache.seeded)),
-                            ("merged", Json::Int(self.cache.merged)),
-                            ("duplicates", Json::Int(self.cache.duplicates)),
-                            ("conflicts", Json::Int(self.cache.conflicts)),
-                        ]),
-                    ),
-                    (
-                        "shard_rows",
-                        Json::Arr(
-                            self.shard_rows
-                                .iter()
-                                .map(|r| {
-                                    obj(vec![
-                                        ("shard", Json::Int(r.shard as u64)),
-                                        ("processed", Json::Int(r.processed)),
-                                        ("stolen", Json::Int(r.stolen)),
-                                        ("poisoned_programs", Json::Int(r.poisoned_programs)),
-                                        ("dead", Json::Bool(r.dead)),
-                                        ("hits", Json::Int(r.hits)),
-                                        ("misses", Json::Int(r.misses)),
-                                        ("delta_seeded", Json::Int(r.delta_seeded)),
-                                        ("p50_us", Json::Int(r.latency.p50 / 1_000)),
-                                        ("p90_us", Json::Int(r.latency.p90 / 1_000)),
-                                        ("p99_us", Json::Int(r.latency.p99 / 1_000)),
-                                        ("max_us", Json::Int(r.latency.max / 1_000)),
-                                        ("mean_us", Json::Int(mean_us(&r.latency))),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-        ])
+                    ("shard", Json::Int(r.shard as u64)),
+                    ("processed", Json::Int(r.processed)),
+                    ("stolen", Json::Int(r.stolen)),
+                    ("poisoned_programs", Json::Int(r.poisoned_programs)),
+                    ("dead", Json::Bool(r.dead)),
+                    ("hits", Json::Int(r.hits)),
+                    ("misses", Json::Int(r.misses)),
+                    ("delta_seeded", Json::Int(r.delta_seeded)),
+                    ("p50_us", Json::Int(r.latency.p50 / 1_000)),
+                    ("p90_us", Json::Int(r.latency.p90 / 1_000)),
+                    ("p99_us", Json::Int(r.latency.p99 / 1_000)),
+                    ("max_us", Json::Int(r.latency.max / 1_000)),
+                    ("mean_us", Json::Int(mean_us(&r.latency))),
+                ])
+            })
+            .collect();
+        bench_document(
+            obj(vec![
+                ("programs", Json::Int(self.programs as u64)),
+                ("certified", Json::Int(self.certified as u64)),
+                ("violating", Json::Int(self.violating as u64)),
+                ("violation_sites", Json::Int(self.violation_sites as u64)),
+                ("inconclusive", Json::Int(self.inconclusive as u64)),
+                ("truth_checked", Json::Int(self.truth_checked as u64)),
+                ("truth_mismatches", Json::Int(self.truth_mismatches as u64)),
+                ("corpus_digest", Json::Str(self.corpus_digest.to_string())),
+                ("manifest_digest", manifest_digest),
+                ("engine", Json::Str(self.engine.clone())),
+                ("spec", Json::Str(self.spec.clone())),
+            ]),
+            obj(vec![
+                ("mode", Json::Str(self.mode.clone())),
+                ("shards", Json::Int(self.shards_requested as u64)),
+                ("wall_ms", Json::Int(self.wall.as_millis() as u64)),
+                ("merge_ms", Json::Int(self.merge_wall.as_millis() as u64)),
+                ("steals", Json::Int(self.steals)),
+                ("poisoned_programs", Json::Int(self.poisoned_programs as u64)),
+                ("dead_shards", Json::Int(self.dead_shards as u64)),
+                (
+                    "cache",
+                    obj(vec![
+                        ("hits", Json::Int(self.cache.hits)),
+                        ("misses", Json::Int(self.cache.misses)),
+                        ("delta_seeded", Json::Int(self.cache.delta_seeded)),
+                        ("seeded", Json::Int(self.cache.seeded)),
+                        ("merged", Json::Int(self.cache.merged)),
+                        ("duplicates", Json::Int(self.cache.duplicates)),
+                        ("conflicts", Json::Int(self.cache.conflicts)),
+                    ]),
+                ),
+                ("shard_rows", Json::Arr(shard_rows)),
+            ]),
+        )
     }
 }
 

@@ -31,6 +31,22 @@ pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
+/// The one tag every benchmark document carries: the `eval` experiments'
+/// documents and the `canvas fleet` report alike.
+pub const BENCH_SCHEMA: &str = "canvas-bench-eval/2";
+
+/// Builds a benchmark document, `{"schema", "deterministic", "measured"}`.
+/// Everything under `deterministic` must be byte-identical run to run (it
+/// is what baselines gate); `measured` holds timings and scheduling- or
+/// machine-dependent values, recorded but never gated.
+pub fn bench_document(deterministic: Json, measured: Json) -> Json {
+    obj(vec![
+        ("schema", Json::Str(BENCH_SCHEMA.to_string())),
+        ("deterministic", deterministic),
+        ("measured", measured),
+    ])
+}
+
 impl Json {
     /// The value under `key`, if `self` is an object containing it.
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -389,7 +405,7 @@ mod tests {
 
     fn doc() -> Json {
         obj(vec![
-            ("schema", Json::Str("canvas-bench-eval/1".to_string())),
+            ("schema", Json::Str("canvas-bench-eval/2".to_string())),
             (
                 "cells",
                 Json::Arr(vec![
@@ -495,7 +511,7 @@ mod tests {
     #[test]
     fn get_looks_up_object_keys() {
         let d = doc();
-        assert_eq!(d.get("schema"), Some(&Json::Str("canvas-bench-eval/1".to_string())));
+        assert_eq!(d.get("schema"), Some(&Json::Str("canvas-bench-eval/2".to_string())));
         assert_eq!(d.get("nope"), None);
         assert_eq!(Json::Int(3).get("x"), None);
     }

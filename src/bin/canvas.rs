@@ -54,7 +54,7 @@
 //! against `canvas serve --listen` backends with `--backend` — merging the
 //! per-shard certificate caches losslessly into `--cache-dir` at the end,
 //! and prints the aggregated fleet report (`--report` also writes it as
-//! `canvas-bench-fleet/1` JSON).
+//! `canvas-bench-eval/2` JSON).
 //!
 //! Exit status: 0 = certified conformant, 1 = potential violations found,
 //! 2 = usage/spec/client/engine error, 3 = analysis inconclusive (resource
