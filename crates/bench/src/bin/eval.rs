@@ -66,6 +66,27 @@ use canvas_bench::{
 };
 use canvas_core::{Certifier, Engine};
 
+/// Writes to stdout. A reader that has gone away (`eval … | head`) drops
+/// the rest of the output instead of panicking, so the run still ends with
+/// its own exit code.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        assert!(e.kind() == std::io::ErrorKind::BrokenPipe, "failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => { out!("\n") };
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
 const TABLES: &[&str] = &[
     "derive",
     "fig3",
@@ -219,13 +240,13 @@ fn drive(exp: &Experiment, opts: &Opts) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    print!("{}", run.text);
+    out!("{}", run.text);
     if let Some(path) = &opts.json {
         if let Err(e) = std::fs::write(path, run.doc.render()) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::from(2);
         }
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     if let (Some(path), Some(key)) = (&opts.baseline, exp.baseline_key) {
         let base = match read_json(path) {
@@ -244,7 +265,7 @@ fn drive(exp: &Experiment, opts: &Opts) -> ExitCode {
             eprintln!("({} difference(s); timings are never gated)", drift.len());
             return ExitCode::FAILURE;
         }
-        println!("baseline check: {key} counters match {path}");
+        outln!("baseline check: {key} counters match {path}");
     }
     if let (true, Some(holds)) = (opts.gate, exp.gate) {
         if !run.fails.is_empty() {
@@ -254,7 +275,7 @@ fn drive(exp: &Experiment, opts: &Opts) -> ExitCode {
             }
             return ExitCode::FAILURE;
         }
-        println!("{} gate: {holds}", exp.verb);
+        outln!("{} gate: {holds}", exp.verb);
     }
     ExitCode::SUCCESS
 }
@@ -375,7 +396,7 @@ fn log_check(args: &[String]) -> ExitCode {
     };
     match canvas_bench::obs::check_log_text(&text) {
         Ok(n) => {
-            println!("log check: {n} canvas-log/1 record(s), (ts_ns, seq)-ordered");
+            outln!("log check: {n} canvas-log/1 record(s), (ts_ns, seq)-ordered");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -400,7 +421,7 @@ fn oracle_check() -> ExitCode {
     };
     match explore(&program, &spec, OracleConfig::default()) {
         Ok(r) => {
-            println!(
+            outln!(
                 "oracle: {} violation line(s) {:?}, {} path(s), truncated: {}",
                 r.violation_lines.len(),
                 r.violation_lines,
@@ -432,7 +453,7 @@ fn trace_check(paths: &[String]) -> ExitCode {
     };
     match doc.get("traceEvents") {
         Some(Json::Arr(events)) if !events.is_empty() => {
-            println!("{path}: valid Chrome Trace JSON with {} event(s)", events.len());
+            outln!("{path}: valid Chrome Trace JSON with {} event(s)", events.len());
             ExitCode::SUCCESS
         }
         Some(Json::Arr(_)) => {
@@ -463,7 +484,7 @@ fn compare(paths: &[String]) -> ExitCode {
     };
     let drift = baseline_drift(&doc_a, &doc_b, "deterministic");
     if drift.is_empty() {
-        println!("deterministic metrics identical: {a} == {b}");
+        outln!("deterministic metrics identical: {a} == {b}");
         ExitCode::SUCCESS
     } else {
         eprintln!("deterministic metrics differ between {a} and {b}:");
@@ -477,19 +498,19 @@ fn compare(paths: &[String]) -> ExitCode {
 fn run_table(what: &str, explain: bool) {
     match what {
         "derive" => table_derive(),
-        "fig3" if explain => print!("{}", canvas_bench::render_fig3_explained()),
+        "fig3" if explain => out!("{}", canvas_bench::render_fig3_explained()),
         "fig3" => table_fig3(),
         "fig3-metrics" => table_fig3_metrics(),
         "fig6" => figure_fig6(),
         "fig7" => figure_fig7(),
         "fig8" => figure_fig8(),
         "generic-vs-specialized" => table_generic_vs_specialized(),
-        "precision" => table_precision(),
-        "timing" => table_timing(),
-        "modes" => table_modes(),
+        "precision" => table_precision(&precision_table()),
+        "timing" => table_timing(&precision_table()),
+        "modes" => table_modes(&precision_table()),
         "scaling" => figure_scaling(),
         "specs" => table_specs(),
-        "interproc" => table_interproc(),
+        "interproc" => table_interproc(&precision_table()),
         "incr" => table_incr(),
         "certs" => table_certs(),
         "all" => {
@@ -500,12 +521,14 @@ fn run_table(what: &str, explain: bool) {
             figure_fig7();
             figure_fig8();
             table_generic_vs_specialized();
-            table_precision();
-            table_timing();
-            table_modes();
+            // E4, E5, E6 and E9 read one precision table
+            let cells = precision_table();
+            table_precision(&cells);
+            table_timing(&cells);
+            table_modes(&cells);
             figure_scaling();
             table_specs();
-            table_interproc();
+            table_interproc(&cells);
             table_incr();
             table_certs();
         }
@@ -515,17 +538,17 @@ fn run_table(what: &str, explain: bool) {
 
 /// E1: the derived abstraction for CMP (paper Figs. 4–5).
 fn table_derive() {
-    print!("{}", render_derive());
+    out!("{}", render_derive());
 }
 
 /// E2: the Fig. 3 walkthrough.
 fn table_fig3() {
-    print!("{}", render_fig3());
+    out!("{}", render_fig3());
 }
 
 /// E2 counters: deterministic work per engine on Fig. 3 (golden-tested).
 fn table_fig3_metrics() {
-    print!("{}", canvas_bench::render_fig3_metrics());
+    out!("{}", canvas_bench::render_fig3_metrics());
 }
 
 /// Fig. 3 with its `main` lowered to a boolean program under the derived
@@ -548,15 +571,15 @@ fn fig3_boolean_program(
 
 /// The paper's Fig. 6: the transformed boolean client program for Fig. 3.
 fn figure_fig6() {
-    print!("{}", render_header("Fig. 6: the transformed (boolean) client program for Fig. 3"));
+    out!("{}", render_header("Fig. 6: the transformed (boolean) client program for Fig. 3"));
     let (program, derived, bp) = fig3_boolean_program();
-    print!("{}", bp.dump(&program, &derived));
+    out!("{}", bp.dump(&program, &derived));
 }
 
 /// The paper's Fig. 7: storage shape graphs before/after `i1.remove()`
 /// under the *generic* translation — the two version objects merge.
 fn figure_fig7() {
-    print!(
+    out!(
         "{}",
         render_header("Fig. 7: generic shape graphs around i1.remove() (version objects merge)")
     );
@@ -567,27 +590,27 @@ fn figure_fig7() {
     let (_, states) = canvas_tvla::run_collect(&tvp, canvas_tvla::EngineMode::Relational, 50_000);
     // locate the remove edge in the IR (same node ids as the TVP prefix)
     let (before, after) = remove_nodes(&program);
-    println!("before i1.remove() ({} structure(s)):", states[before].len());
+    outln!("before i1.remove() ({} structure(s)):", states[before].len());
     for s in &states[before] {
-        print!("{}", canvas_tvla::render_structure(s, &tvp.preds));
-        println!("  --");
+        out!("{}", canvas_tvla::render_structure(s, &tvp.preds));
+        outln!("  --");
     }
-    println!("after i1.remove() ({} structure(s)):", states[after].len());
+    outln!("after i1.remove() ({} structure(s)):", states[after].len());
     for s in &states[after] {
-        print!("{}", canvas_tvla::render_structure(s, &tvp.preds));
-        println!("  --");
+        out!("{}", canvas_tvla::render_structure(s, &tvp.preds));
+        outln!("  --");
     }
 }
 
 /// The paper's Fig. 8: the nullary abstract state before/after
 /// `i1.remove()` under the *specialized* certifier.
 fn figure_fig8() {
-    print!("{}", render_header("Fig. 8: specialized abstract state around i1.remove()"));
+    out!("{}", render_header("Fig. 8: specialized abstract state around i1.remove()"));
     let (program, derived, bp) = fig3_boolean_program();
     let rel = canvas_dataflow::relational::analyze(&bp, 1 << 14).expect("fig3 is tiny");
     let (before, after) = remove_nodes(&program);
     for (label, node) in [("before", before), ("after", after)] {
-        println!("{label} i1.remove():");
+        outln!("{label} i1.remove():");
         for val in &rel.states[node] {
             let mut parts = Vec::new();
             for k in 0..bp.preds.len() {
@@ -597,7 +620,7 @@ fn figure_fig8() {
                     u8::from(val.get(k))
                 ));
             }
-            println!("  {}", parts.join("  "));
+            outln!("  {}", parts.join("  "));
         }
     }
 }
@@ -617,7 +640,7 @@ fn remove_nodes(program: &canvas_minijava::Program) -> (usize, usize) {
 
 /// E3: generic vs specialized on the two killer examples.
 fn table_generic_vs_specialized() {
-    print!("{}", render_header("E3: generic baselines vs the specialized certifier (§3, §4.4)"));
+    out!("{}", render_header("E3: generic baselines vs the specialized certifier (§3, §4.4)"));
     let c = Certifier::from_spec(canvas_easl::builtin::cmp()).expect("cmp derives");
     let loop_src = r#"
 class Main {
@@ -630,16 +653,16 @@ class Main {
     }
 }
 "#;
-    println!("version-loop (safe):");
+    outln!("version-loop (safe):");
     for engine in [Engine::ScmpFds, Engine::GenericAllocSite, Engine::GenericSsgRelational] {
         let r = c.certify_source(loop_src, engine).expect("runs");
-        println!("  {:<26} -> {} false alarm(s)", engine.to_string(), r.violations.len());
+        outln!("  {:<26} -> {} false alarm(s)", engine.to_string(), r.violations.len());
     }
-    println!("fig3 line 11 (safe use of i3):");
+    outln!("fig3 line 11 (safe use of i3):");
     for engine in [Engine::ScmpFds, Engine::GenericAllocSite, Engine::GenericSsgRelational] {
         let r = c.certify_source(FIG3, engine).expect("runs");
         let fa = r.lines().contains(&11);
-        println!("  {:<26} -> {}", engine.to_string(), if fa { "FALSE ALARM" } else { "exact" });
+        outln!("  {:<26} -> {}", engine.to_string(), if fa { "FALSE ALARM" } else { "exact" });
     }
 }
 
@@ -660,19 +683,19 @@ fn cell<'a>(cells: &'a [PrecisionCell], benchmark: &str, engine: Engine) -> &'a 
 
 /// Prints a benchmark × engine grid of `show(cell)`, `-` for failed cells.
 fn print_grid(cells: &[PrecisionCell], show: impl Fn(&PrecisionCell) -> String) {
-    print!("{:<20}", "benchmark");
+    out!("{:<20}", "benchmark");
     for e in Engine::all() {
-        print!(" {:>10}", e.abbrev());
+        out!(" {:>10}", e.abbrev());
     }
-    println!();
+    outln!();
     for name in benchmark_names(cells) {
-        print!("{name:<20}");
+        out!("{name:<20}");
         for e in Engine::all() {
             let c = cell(cells, name, e);
             let s = if c.failed.is_some() { "-".to_string() } else { show(c) };
-            print!(" {s:>10}");
+            out!(" {s:>10}");
         }
-        println!();
+        outln!();
     }
 }
 
@@ -685,79 +708,76 @@ fn cells_by_engine(cells: &[PrecisionCell]) -> BTreeMap<String, Vec<&PrecisionCe
 }
 
 /// E4: the precision table.
-fn table_precision() {
-    print!(
+fn table_precision(cells: &[PrecisionCell]) {
+    out!(
         "{}",
         render_header("E4: precision per benchmark x engine (reported / real / false alarms)")
     );
-    let cells = precision_table();
     // wide table: benchmarks as rows, engines as columns (abbreviated)
     let engines: Vec<Engine> = Engine::all();
-    print!("{:<20} {:>5}", "benchmark", "real");
+    out!("{:<20} {:>5}", "benchmark", "real");
     for e in &engines {
-        print!(" {:>12}", e.abbrev());
+        out!(" {:>12}", e.abbrev());
     }
-    println!();
-    for name in benchmark_names(&cells) {
+    outln!();
+    for name in benchmark_names(cells) {
         let real = cells.iter().find(|c| c.benchmark == name).map(|c| c.real).unwrap_or_default();
-        print!("{name:<20} {real:>5}");
+        out!("{name:<20} {real:>5}");
         for &e in &engines {
-            let cell = cell(&cells, name, e);
+            let cell = cell(cells, name, e);
             let s = match &cell.failed {
                 Some(_) if cell.poisoned => "poisoned".to_string(),
                 Some(_) => "budget".to_string(),
                 None => format!("{}+{}fa", cell.reported - cell.false_alarms, cell.false_alarms),
             };
-            print!(" {s:>12}");
+            out!(" {s:>12}");
         }
-        println!();
+        outln!();
     }
     // summary
-    println!();
-    for (engine, cs) in cells_by_engine(&cells) {
+    outln!();
+    for (engine, cs) in cells_by_engine(cells) {
         let ok: Vec<_> = cs.iter().filter(|c| c.failed.is_none()).collect();
         let fa: usize = ok.iter().map(|c| c.false_alarms).sum();
         let missed: usize = ok.iter().map(|c| c.missed).sum();
         let poisoned = cs.iter().filter(|c| c.poisoned).count();
         let failed = cs.len() - ok.len() - poisoned;
-        print!(
+        out!(
             "{engine:<26} false alarms: {fa:>3}   missed: {missed:>2}   budget failures: {failed}"
         );
         if poisoned > 0 {
-            print!("   poisoned: {poisoned}");
+            out!("   poisoned: {poisoned}");
         }
-        println!();
+        outln!();
     }
 }
 
 /// E5: the timing table, plus the deterministic work counters behind it.
-fn table_timing() {
-    print!("{}", render_header("E5: analysis time per benchmark x engine"));
-    let cells = precision_table();
-    print_grid(&cells, |c| fmt_duration(c.time));
+fn table_timing(cells: &[PrecisionCell]) {
+    out!("{}", render_header("E5: analysis time per benchmark x engine"));
+    print_grid(cells, |c| fmt_duration(c.time));
     // the deterministic work counters the timings are made of (same layout;
     // these are what CI gates against bench/baseline.json)
-    println!();
-    println!("work units (deterministic) per benchmark x engine:");
-    print_grid(&cells, |c| c.work.to_string());
+    outln!();
+    outln!("work units (deterministic) per benchmark x engine:");
+    print_grid(cells, |c| c.work.to_string());
 }
 
 /// E6: relational vs independent-attribute TVLA (the §7 observation).
-fn table_modes() {
-    print!(
+fn table_modes(cells: &[PrecisionCell]) {
+    out!(
         "{}",
         render_header("E6: TVLA relational vs independent-attribute (same precision per §7)")
     );
-    let cells = precision_table();
     let mut diff = 0;
-    for name in benchmark_names(&cells) {
-        let rel = cell(&cells, name, Engine::TvlaRelational);
-        let ind = cell(&cells, name, Engine::TvlaIndependent);
+    for name in benchmark_names(cells) {
+        let rel = cell(cells, name, Engine::TvlaRelational);
+        let ind = cell(cells, name, Engine::TvlaIndependent);
         let same = rel.reported == ind.reported && rel.false_alarms == ind.false_alarms;
         if !same {
             diff += 1;
         }
-        println!(
+        outln!(
             "{name:<20} relational {} ({}fa, {})  independent {} ({}fa, {})  {}",
             rel.reported,
             rel.false_alarms,
@@ -768,16 +788,16 @@ fn table_modes() {
             if same { "same" } else { "DIFFER" }
         );
     }
-    println!("\nbenchmarks where the modes differ in precision: {diff}");
+    outln!("\nbenchmarks where the modes differ in precision: {diff}");
 }
 
 /// E7: the scaling figure (printed series).
 fn figure_scaling() {
-    print!("{}", render_header("E7: FDS certifier scaling (polynomial in E and B)"));
-    println!("sweep client size (blocks of sets+iterators):");
-    println!("{:>8} {:>8} {:>8} {:>10} {:>10}", "blocks", "edges", "preds", "work", "time");
+    out!("{}", render_header("E7: FDS certifier scaling (polynomial in E and B)"));
+    outln!("sweep client size (blocks of sets+iterators):");
+    outln!("{:>8} {:>8} {:>8} {:>10} {:>10}", "blocks", "edges", "preds", "work", "time");
     for p in scaling_blocks(&[2, 4, 8, 16, 32, 64, 128]) {
-        println!(
+        outln!(
             "{:>8} {:>8} {:>8} {:>10} {:>10}",
             p.param,
             p.edges,
@@ -786,10 +806,10 @@ fn figure_scaling() {
             fmt_duration(p.time)
         );
     }
-    println!("\nsweep component variables (iterator ring; preds grow ~B^2):");
-    println!("{:>8} {:>8} {:>8} {:>10} {:>10}", "vars", "edges", "preds", "work", "time");
+    outln!("\nsweep component variables (iterator ring; preds grow ~B^2):");
+    outln!("{:>8} {:>8} {:>8} {:>10} {:>10}", "vars", "edges", "preds", "work", "time");
     for p in scaling_vars(&[2, 4, 8, 16, 32, 64]) {
-        println!(
+        outln!(
             "{:>8} {:>8} {:>8} {:>10} {:>10}",
             p.param,
             p.edges,
@@ -802,9 +822,9 @@ fn figure_scaling() {
 
 /// E8: derivation convergence and the mutation-restricted class.
 fn table_specs() {
-    print!("{}", render_header("E8: spec classification and derivation convergence (§6)"));
+    out!("{}", render_header("E8: spec classification and derivation convergence (§6)"));
     for row in derivation_table() {
-        println!(
+        outln!(
             "{:<4} {:?}: {} families, converged (rounds: {:?})",
             row.spec,
             row.class,
@@ -813,7 +833,7 @@ fn table_specs() {
         );
     }
     let unbounded = canvas_easl::builtin::unbounded();
-    println!(
+    outln!(
         "unbounded (adversarial) {:?}: derivation -> {}",
         canvas_easl::classify(&unbounded),
         match canvas_wp::derive_with_budget(&unbounded, 8) {
@@ -825,18 +845,17 @@ fn table_specs() {
 
 /// E10: incremental certification — cold vs warm vs edited-one-method.
 fn table_incr() {
-    print!("{}", canvas_bench::render_incr());
+    out!("{}", canvas_bench::render_incr());
 }
 
 /// E11: proof-carrying certificates — emit cost vs replay-check cost vs size.
 fn table_certs() {
-    print!("{}", canvas_bench::render_certs());
+    out!("{}", canvas_bench::render_certs());
 }
 
 /// E9: interprocedural certification.
-fn table_interproc() {
-    print!("{}", render_header("E9: context-sensitive interprocedural SCMP (§8)"));
-    let cells = precision_table();
+fn table_interproc(cells: &[PrecisionCell]) {
+    out!("{}", render_header("E9: context-sensitive interprocedural SCMP (§8)"));
     for name in [
         "make-worklist",
         "interproc-grow",
@@ -846,7 +865,7 @@ fn table_interproc() {
     ] {
         for engine in [Engine::ScmpFds, Engine::ScmpInterproc] {
             if let Some(cell) = cells.iter().find(|c| c.benchmark == name && c.engine == engine) {
-                println!(
+                outln!(
                     "{name:<22} {:<16} real {}  reported {}  false alarms {}",
                     engine.to_string(),
                     cell.real,
@@ -856,8 +875,8 @@ fn table_interproc() {
             }
         }
     }
-    println!("\n(the intraprocedural engine is sound but must havoc across calls;");
-    println!(" the §8 engine removes exactly those false alarms)");
+    outln!("\n(the intraprocedural engine is sound but must havoc across calls;");
+    outln!(" the §8 engine removes exactly those false alarms)");
 }
 
 #[cfg(test)]

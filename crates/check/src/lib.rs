@@ -467,14 +467,25 @@ pub fn check_text(
 ///
 /// # Errors
 ///
-/// [`CheckError`] describing the first inconsistency found (binding digests,
-/// cell coverage, solution shape, post-fixpoint replay, or violation set).
+/// [`CheckError`] describing the first inconsistency found (a cell with no
+/// replayable solution, binding digests, cell coverage, solution shape,
+/// post-fixpoint replay, or violation set).
 pub fn check(
     source: &str,
     spec: &Spec,
     derived: &Derived,
     cert: &Certificate,
 ) -> Result<CheckOutcome, CheckError> {
+    // a cell without a solution leaves nothing to replay: name it before a
+    // binding or shape check misreports its placeholder method or shape
+    for cell in &cert.cells {
+        if let CellSolution::Unavailable { reason } = &cell.solution {
+            return Err(CheckError::Uncheckable {
+                method: cell.method.clone(),
+                reason: reason.clone(),
+            });
+        }
+    }
     if cert.spec != spec.name() {
         return Err(CheckError::WrongSpec {
             cert: cert.spec.clone(),

@@ -17,10 +17,12 @@ use crate::engine::{registry, AnalysisEngine, MethodContext, PreparedProgram, Sh
 use crate::report::Report;
 
 /// The available certification engines (paper §3–§8) with their
-/// time/space/precision tradeoffs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// time/space/precision tradeoffs. The default is the paper's specialized
+/// certifier, [`Engine::ScmpFds`].
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug)]
 pub enum Engine {
     /// Specialized nullary abstraction + polynomial may-be-1 dataflow (§4.3).
+    #[default]
     ScmpFds,
     /// Specialized nullary abstraction + exponential relational dataflow.
     ScmpRelational,

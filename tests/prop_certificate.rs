@@ -6,6 +6,7 @@
 use canvas_conformance::abstraction::EntryAssumption;
 use canvas_conformance::check::{self, CheckError};
 use canvas_conformance::core::{CellSolution, Certificate};
+use canvas_conformance::faults::Budget;
 use canvas_conformance::suite::corpus;
 use canvas_conformance::{Certifier, CertifyError, Engine};
 use proptest::prelude::*;
@@ -33,6 +34,28 @@ fn corpus_certificates() -> Vec<(String, String, Engine, canvas_conformance::Rep
     out
 }
 
+/// Fig. 3's certificates that carry no replayable solution: one from a run
+/// whose deadline expired before a post-fixpoint, one from TVLA, which
+/// emits no solutions at all.
+fn uncheckable_certificates(
+) -> Vec<(String, String, Engine, canvas_conformance::Report, Certificate)> {
+    let b = corpus().into_iter().find(|b| b.name == "fig3").expect("fig3 exists");
+    let spec = b.spec.spec();
+    let program = canvas_conformance::minijava::Program::parse(b.source, &spec).expect("parses");
+    let expired = Budget::unlimited().with_deadline_ms(0);
+    let runs = [(Engine::ScmpFds, expired), (Engine::TvlaRelational, Budget::unlimited())];
+    runs.into_iter()
+        .map(|(engine, budget)| {
+            let certifier =
+                Certifier::from_spec(spec.clone()).expect("derives").with_budget(budget);
+            let (report, cert) = certifier
+                .certify_with_certificate(b.source, &program, engine)
+                .expect("an uncheckable certificate is still emitted");
+            (b.name.to_string(), b.source.to_string(), engine, report, cert)
+        })
+        .collect()
+}
+
 /// Checker accepts ⇔ the engine certified: over the whole corpus, a
 /// replayable certificate round-trips through the byte format and passes
 /// the checker with exactly the engine's verdict and violation lines;
@@ -42,7 +65,9 @@ fn corpus_certificates() -> Vec<(String, String, Engine, canvas_conformance::Rep
 fn checker_accepts_iff_engine_certified() {
     let mut checked = 0;
     let mut uncheckable = 0;
-    for (name, source, engine, report, cert) in corpus_certificates() {
+    for (name, source, engine, report, cert) in
+        corpus_certificates().into_iter().chain(uncheckable_certificates())
+    {
         let spec = cert.spec.clone();
         let specs: &[fn() -> canvas_conformance::easl::Spec] = &[
             canvas_conformance::easl::builtin::cmp,
@@ -83,7 +108,7 @@ fn checker_accepts_iff_engine_certified() {
             checked += 1;
         } else {
             assert!(
-                report.is_inconclusive(),
+                report.is_inconclusive() || engine.certificate_unsupported().is_some(),
                 "{name} under {engine}: only inconclusive runs may emit uncheckable cells"
             );
             assert!(
@@ -94,10 +119,28 @@ fn checker_accepts_iff_engine_certified() {
         }
     }
     assert!(checked >= 25, "expected a substantial checkable corpus, got {checked}");
-    // the budgeted relational runs produce at least one honest uncheckable
-    // certificate; if the corpus ever stops exercising that path the
-    // assertion below will say so
-    let _ = uncheckable;
+    assert!(uncheckable >= 2, "both uncheckable certificates reach the checker");
+}
+
+/// A certificate with an `unavailable` cell is rejected as uncheckable,
+/// naming the cell, before any binding or shape check can misname it.
+#[test]
+fn unavailable_cells_are_rejected_as_uncheckable() {
+    let spec = canvas_conformance::easl::builtin::cmp();
+    let certifier = Certifier::from_spec(spec.clone()).expect("derives");
+    let methods: Vec<String> = uncheckable_certificates()
+        .into_iter()
+        .map(|(name, source, engine, _report, cert)| {
+            match check::check_text(&source, &spec, certifier.derived(), &cert.to_text()) {
+                Err(CheckError::Uncheckable { method, reason }) => {
+                    assert!(!reason.is_empty(), "{name} under {engine}: the reason is kept");
+                    method
+                }
+                other => panic!("{name} under {engine}: want Uncheckable, got {other:?}"),
+            }
+        })
+        .collect();
+    assert_eq!(methods, ["Main.main", "<whole-program>"]);
 }
 
 /// A certificate whose violation claim was doctored (a violation silently
