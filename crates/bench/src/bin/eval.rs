@@ -64,28 +64,7 @@ use canvas_bench::{
     metrics_to_json, precision_table, render_derive, render_fig3, render_header, scaling_blocks,
     scaling_vars, PrecisionCell, FIG3,
 };
-use canvas_core::{Certifier, Engine};
-
-/// Writes to stdout. A reader that has gone away (`eval … | head`) drops
-/// the rest of the output instead of panicking, so the run still ends with
-/// its own exit code.
-fn write_stdout(args: std::fmt::Arguments) {
-    use std::io::Write as _;
-    if let Err(e) = std::io::stdout().write_fmt(args) {
-        assert!(e.kind() == std::io::ErrorKind::BrokenPipe, "failed printing to stdout: {e}");
-    }
-}
-
-/// `print!` through [`write_stdout`].
-macro_rules! out {
-    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
-}
-
-/// `println!` through [`write_stdout`].
-macro_rules! outln {
-    () => { out!("\n") };
-    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
-}
+use canvas_core::{out, outln, Certifier, Engine};
 
 const TABLES: &[&str] = &[
     "derive",
@@ -587,7 +566,11 @@ fn figure_fig7() {
     let program = canvas_minijava::Program::parse(FIG3, &spec).expect("fig3 parses");
     let main = program.main_method().expect("main");
     let tvp = canvas_tvla::translate_generic(&program, main, &spec);
-    let (_, states) = canvas_tvla::run_collect(&tvp, canvas_tvla::EngineMode::Relational, 50_000);
+    let entry = vec![canvas_tvla::Structure::empty(&tvp.preds)];
+    let mode = canvas_tvla::EngineMode::Relational;
+    let disarmed = canvas_faults::Meter::disarmed();
+    let states =
+        canvas_tvla::run(&tvp, mode, 50_000, entry, &disarmed).expect("fig3 is tiny").states;
     // locate the remove edge in the IR (same node ids as the TVP prefix)
     let (before, after) = remove_nodes(&program);
     outln!("before i1.remove() ({} structure(s)):", states[before].len());
@@ -607,7 +590,9 @@ fn figure_fig7() {
 fn figure_fig8() {
     out!("{}", render_header("Fig. 8: specialized abstract state around i1.remove()"));
     let (program, derived, bp) = fig3_boolean_program();
-    let rel = canvas_dataflow::relational::analyze(&bp, 1 << 14).expect("fig3 is tiny");
+    let disarmed = canvas_faults::Meter::disarmed();
+    let (rel, _) =
+        canvas_dataflow::relational::solve(&bp, 1 << 14, &disarmed, false).expect("fig3 is tiny");
     let (before, after) = remove_nodes(&program);
     for (label, node) in [("before", before), ("after", after)] {
         outln!("{label} i1.remove():");

@@ -881,24 +881,7 @@ pub fn render_certs() -> String {
         }
         by
     } {
-        let ok: Vec<_> = rs.iter().filter(|r| r.failed.is_none()).collect();
-        let certify: Duration = ok.iter().map(|r| r.certify_time).sum();
-        let check: Duration = ok.iter().map(|r| r.check_time).sum();
-        let bytes: usize = ok.iter().map(|r| r.cert_bytes).sum();
-        let accepted = ok.iter().filter(|r| r.accepted).count();
-        let speedup = if check.as_nanos() == 0 {
-            f64::INFINITY
-        } else {
-            certify.as_secs_f64() / check.as_secs_f64()
-        };
-        let _ = writeln!(
-            out,
-            "{engine:<26} certify {}  check {} ({speedup:.1}x faster)  \
-             {accepted}/{} accepted  {bytes} cert bytes total",
-            fmt_duration(certify),
-            fmt_duration(check),
-            ok.len(),
-        );
+        let _ = writeln!(out, "{}", render_cert_summary(&engine, &rs));
     }
     let _ = writeln!(out);
     let _ = writeln!(out, "scaling (generated CMP clients, FDS; both sides end-to-end):");
@@ -908,23 +891,69 @@ pub fn render_certs() -> String {
         "blocks", "edges", "certify", "check", "check/ce", "bytes"
     );
     for p in certificate_scaling(&[8, 16, 32, 64, 128]) {
-        let ratio = if p.certify_time.as_nanos() == 0 {
-            f64::NAN
+        let _ = writeln!(out, "{}", render_scale_row(&p));
+    }
+    out
+}
+
+/// One E11 per-engine summary line: totals over the rows that emitted a
+/// certificate, and the check-vs-certify speedup over the accepted ones
+/// only (none at all when nothing was accepted: a rejected certificate was
+/// never really checked).
+fn render_cert_summary(engine: &str, rows: &[&CertRow]) -> String {
+    let ok: Vec<_> = rows.iter().filter(|r| r.failed.is_none()).collect();
+    let certify: Duration = ok.iter().map(|r| r.certify_time).sum();
+    let check: Duration = ok.iter().map(|r| r.check_time).sum();
+    let bytes: usize = ok.iter().map(|r| r.cert_bytes).sum();
+    let accepted: Vec<_> = ok.iter().filter(|r| r.accepted).collect();
+    let speedup = if accepted.is_empty() {
+        String::new()
+    } else {
+        let certify: Duration = accepted.iter().map(|r| r.certify_time).sum();
+        let check: Duration = accepted.iter().map(|r| r.check_time).sum();
+        let x = if check.as_nanos() == 0 {
+            f64::INFINITY
         } else {
-            p.check_time.as_secs_f64() / p.certify_time.as_secs_f64()
+            certify.as_secs_f64() / check.as_secs_f64()
         };
-        let _ = writeln!(
-            out,
-            "{:>8} {:>8} {:>10} {:>10} {:>8.0}% {:>8}",
+        format!(" ({x:.1}x faster)")
+    };
+    format!(
+        "{engine:<26} certify {}  check {}{speedup}  {}/{} accepted  {bytes} cert bytes total",
+        fmt_duration(certify),
+        fmt_duration(check),
+        accepted.len(),
+        ok.len(),
+    )
+}
+
+/// One row of the E11 scaling series. A rejected certificate prints
+/// `rejected` in place of its check time and check/certify ratio.
+fn render_scale_row(p: &CertScalePoint) -> String {
+    if !p.accepted {
+        return format!(
+            "{:>8} {:>8} {:>10} {:>20} {:>8}",
             p.blocks,
             p.edges,
             fmt_duration(p.certify_time),
-            fmt_duration(p.check_time),
-            ratio * 100.0,
+            "rejected",
             p.cert_bytes
         );
     }
-    out
+    let ratio = if p.certify_time.as_nanos() == 0 {
+        f64::NAN
+    } else {
+        p.check_time.as_secs_f64() / p.certify_time.as_secs_f64()
+    };
+    format!(
+        "{:>8} {:>8} {:>10} {:>10} {:>8.0}% {:>8}",
+        p.blocks,
+        p.edges,
+        fmt_duration(p.certify_time),
+        fmt_duration(p.check_time),
+        ratio * 100.0,
+        p.cert_bytes
+    )
 }
 
 /// The E10 incremental workload: four methods, with the *edited* method
@@ -1103,6 +1132,43 @@ mod tests {
         let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["schema", "deterministic", "measured"]);
         assert_eq!(doc.get("schema"), Some(&json::Json::Str(json::BENCH_SCHEMA.to_string())));
+    }
+
+    #[test]
+    fn rejected_certificates_render_as_rejected() {
+        let ms = Duration::from_millis;
+        let point = |accepted| CertScalePoint {
+            blocks: 8,
+            edges: 40,
+            certify_time: ms(4),
+            check_time: ms(1),
+            cert_bytes: 900,
+            accepted,
+            certified: false,
+        };
+        let accepted = render_scale_row(&point(true));
+        let rejected = render_scale_row(&point(false));
+        assert!(accepted.contains("25%") && !accepted.contains("rejected"), "{accepted}");
+        assert!(rejected.contains("rejected") && !rejected.contains('%'), "{rejected}");
+        assert!(!rejected.contains(&fmt_duration(ms(1))), "no check time: {rejected}");
+        assert_eq!(accepted.len(), rejected.len(), "columns stay aligned");
+
+        let row = |accepted, certify, check| CertRow {
+            benchmark: "b",
+            engine: Engine::ScmpFds,
+            certify_time: ms(certify),
+            check_time: ms(check),
+            cert_bytes: 100,
+            checkable: accepted,
+            accepted,
+            certified: false,
+            failed: None,
+        };
+        let (yes, no) = (row(true, 6, 2), row(false, 10, 1));
+        let mixed = render_cert_summary("scmp-fds", &[&yes, &no]);
+        assert!(mixed.contains("(3.0x faster)  1/2 accepted"), "{mixed}");
+        let none = render_cert_summary("scmp-fds", &[&no]);
+        assert!(!none.contains("faster") && none.contains("0/1 accepted"), "{none}");
     }
 
     #[test]

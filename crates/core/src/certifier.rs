@@ -393,8 +393,13 @@ impl Certifier {
         // Isolation layer: a panicking engine must not take down the caller
         // (one method of one suite case, or one request of a service). The
         // panic surfaces as a structured `CertifyError::Panicked` instead.
+        // Every engine run passes here, so this is where the `solver-abort`
+        // fault exercises the layer.
         let _solve_phase = canvas_telemetry::phase::SOLVE.span();
-        let run = catch_unwind(AssertUnwindSafe(|| engine.info().run(&cx)));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            canvas_faults::solver_abort();
+            engine.info().run(&cx)
+        }));
         let (mut report, solution) = match run {
             Ok(result) => result?,
             Err(payload) => {

@@ -13,6 +13,7 @@
 use std::sync::OnceLock;
 
 use canvas_abstraction::{transform_method, BoolProgram, CellSolution, EntryAssumption};
+use canvas_dataflow::fds;
 use canvas_easl::Spec;
 use canvas_faults::{Budget, Meter};
 use canvas_minijava::{MethodIr, Program};
@@ -158,14 +159,16 @@ impl MethodContext<'_> {
         }
     }
 
-    /// A violation carrying a conservative "no witness" marker (the TVLA and
-    /// alloc-site engines do not record provenance).
+    /// A violation of an engine that records no provenance (TVLA and the
+    /// alloc-site baseline): explained runs mark it with a conservative "no
+    /// witness" `reason`.
     fn violation_unavailable(
         &self,
         site: &canvas_minijava::Site,
         reason: &'static str,
     ) -> Violation {
-        Violation { witness: Some(Witness::Unavailable(reason)), ..self.violation(site) }
+        let witness = self.explain.then_some(Witness::Unavailable(reason));
+        Violation { witness, ..self.violation(site) }
     }
 
     /// A violation with its solver witness resolved to source terms. The
@@ -287,47 +290,35 @@ impl AnalysisEngine for ScmpFdsEngine {
                 Stats { predicates: bp.preds.len(), exhausted: true, ..Stats::default() },
             )
         };
-        let (res, violations) = if cx.explain {
-            // a carried seed has no provenance, so explained runs always
-            // solve cold (witness traces must match the uncached path)
-            if cx.fds_seed.is_some() {
-                canvas_dataflow::delta::note_fallback();
+        // within-method delta re-solve: seed from the cached solution when
+        // one is available and nothing can perturb the outcome. A
+        // constrained governor could trip at a different point than a cold
+        // solve, changing the exhaustion verdict; and a carried seed has no
+        // provenance, so explained runs always solve cold (witness traces
+        // must match the uncached path).
+        let seeded = match cx.fds_seed {
+            Some(seed) if cx.budget.is_unlimited() && !cx.explain => {
+                canvas_dataflow::delta::analyze_delta(bp, seed, &gov)
             }
-            let (res, prov) = match canvas_dataflow::fds::analyze_traced_with(bp, &gov) {
-                Ok(pair) => pair,
-                Err(ex) => return Ok((inconclusive(ex), None)),
-            };
-            let violations =
-                canvas_dataflow::fds::violations_explained(bp, &res, &prov, cx.program, cx.derived);
-            (res, violations)
-        } else {
-            // within-method delta re-solve: seed from the cached solution
-            // when one is available and nothing can perturb the outcome (a
-            // constrained governor could trip at a different point than a
-            // cold solve, changing the exhaustion verdict)
-            let seeded = match cx.fds_seed {
-                Some(seed) if cx.budget.is_unlimited() => {
-                    match canvas_dataflow::delta::analyze_delta(bp, seed, &gov) {
-                        Ok(res) => res,
-                        Err(ex) => return Ok((inconclusive(ex), None)),
-                    }
-                }
-                Some(_) => {
-                    canvas_dataflow::delta::note_fallback();
-                    None
-                }
-                None => None,
-            };
-            let res = match seeded {
-                Some(res) => res,
-                None => match canvas_dataflow::fds::analyze_with(bp, &gov) {
-                    Ok(res) => res,
-                    Err(ex) => return Ok((inconclusive(ex), None)),
-                },
-            };
-            let violations = canvas_dataflow::fds::violations(bp, &res);
-            (res, violations)
+            Some(_) => {
+                canvas_dataflow::delta::note_fallback();
+                Ok(None)
+            }
+            None => Ok(None),
         };
+        let solved = seeded.and_then(|res| match res {
+            Some(res) => Ok((res, None)),
+            None => fds::solve(bp, &gov, cx.explain),
+        });
+        let (res, prov) = match solved {
+            Ok(pair) => pair,
+            Err(ex) => return Ok((inconclusive(ex), None)),
+        };
+        let violations = fds::violations(
+            bp,
+            |n, p| res.get(n, p),
+            prov.as_ref().map(|p| (p, cx.program, cx.derived)),
+        );
         let solution =
             CellSolution::MayOne { nodes: (0..bp.node_count).map(|r| res.row_ones(r)).collect() };
         let report = Report {
@@ -366,51 +357,25 @@ impl AnalysisEngine for ScmpRelationalEngine {
     }
 
     fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
-        use canvas_dataflow::relational::RelStop;
+        use canvas_dataflow::relational::{self, RelStop};
         let bp = cx.boolprog();
         let gov = Meter::new(cx.budget);
         // The engine's own per-node valuation budget stays a hard error; only
         // the shared governor degrades to an inconclusive verdict.
-        enum Stop {
-            Hard(CertifyError),
-            Soft(Report),
-        }
-        let stop = |s: RelStop, engine: Engine, preds: usize| match s {
-            RelStop::States(_) => Stop::Hard(CertifyError::StateBudget { engine }),
-            RelStop::Budget(ex) => Stop::Soft(Report::inconclusive(
-                engine,
-                ex.reason(),
-                Stats { predicates: preds, exhausted: true, ..Stats::default() },
-            )),
+        let (res, prov) = match relational::solve(bp, cx.relational_budget, &gov, cx.explain) {
+            Ok(pair) => pair,
+            Err(RelStop::States(_)) => return Err(CertifyError::StateBudget { engine: self.id() }),
+            Err(RelStop::Budget(ex)) => {
+                let stats =
+                    Stats { predicates: bp.preds.len(), exhausted: true, ..Stats::default() };
+                return Ok((Report::inconclusive(self.id(), ex.reason(), stats), None));
+            }
         };
-        let (res, violations) = if cx.explain {
-            let (res, prov) = match canvas_dataflow::relational::analyze_traced_with(
-                bp,
-                cx.relational_budget,
-                &gov,
-            ) {
-                Ok(pair) => pair,
-                Err(e) => match stop(e, self.id(), bp.preds.len()) {
-                    Stop::Hard(err) => return Err(err),
-                    Stop::Soft(report) => return Ok((report, None)),
-                },
-            };
-            let violations = canvas_dataflow::relational::violations_explained(
-                bp, &res, &prov, cx.program, cx.derived,
-            );
-            (res, violations)
-        } else {
-            let res =
-                match canvas_dataflow::relational::analyze_with(bp, cx.relational_budget, &gov) {
-                    Ok(res) => res,
-                    Err(e) => match stop(e, self.id(), bp.preds.len()) {
-                        Stop::Hard(err) => return Err(err),
-                        Stop::Soft(report) => return Ok((report, None)),
-                    },
-                };
-            let violations = canvas_dataflow::relational::violations(bp, &res);
-            (res, violations)
-        };
+        let violations = fds::violations(
+            bp,
+            |n, p| res.may_one(n, p),
+            prov.as_ref().map(|p| (p, cx.program, cx.derived)),
+        );
         let max_states = res.states.iter().map(|s| s.len()).max().unwrap_or(0);
         let solution = CellSolution::Relational {
             nodes: res
@@ -461,14 +426,9 @@ impl AnalysisEngine for ScmpInterprocEngine {
 
     fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
         let gov = Meter::new(cx.budget);
-        let res = if cx.explain {
-            canvas_dataflow::interproc::analyze_explained_with(
-                cx.program, cx.spec, cx.derived, &gov,
-            )
-        } else {
-            canvas_dataflow::interproc::analyze_with(cx.program, cx.spec, cx.derived, &gov)
-        };
-        let res = match res {
+        let res = match canvas_dataflow::interproc::solve(
+            cx.program, cx.spec, cx.derived, &gov, cx.explain,
+        ) {
             Ok(res) => res,
             Err(ex) => {
                 let stats = Stats { exhausted: true, ..Stats::default() };
@@ -610,7 +570,6 @@ impl AnalysisEngine for GenericAllocSiteEngine {
     }
 
     fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
-        canvas_faults::solver_abort();
         // The alloc-site baseline is a single linear pass, so account its
         // whole cost up front: one step per CFG edge (plus one so an empty
         // method still checks the deadline / injected trip).
@@ -621,25 +580,16 @@ impl AnalysisEngine for GenericAllocSiteEngine {
                 return Ok((Report::inconclusive(self.id(), ex.reason(), stats), None));
             }
         }
-        let res = canvas_heap::allocsite_analyze_with_entry(
+        let res = canvas_heap::allocsite_analyze(
             cx.program,
             cx.method,
             cx.spec,
             cx.entry == EntryAssumption::Unknown,
         );
-        let violation = |s: &canvas_minijava::Site| {
-            if cx.explain {
-                cx.violation_unavailable(
-                    s,
-                    "the allocation-site baseline does not record provenance",
-                )
-            } else {
-                cx.violation(s)
-            }
-        };
+        let why = "the allocation-site baseline does not record provenance";
         let report = Report {
             engine: self.id(),
-            violations: res.violations.iter().map(violation).collect(),
+            violations: res.violations.iter().map(|s| cx.violation_unavailable(s, why)).collect(),
             stats: Stats { work: res.edge_visits, max_states: 1, ..Stats::default() },
             verdict: Default::default(),
         };
@@ -673,7 +623,7 @@ fn run_tvla(
         }
     };
     let gov = Meter::new(cx.budget);
-    let res = match canvas_tvla::run_from_with(tvp, mode, cx.tvla_budget, entry_structs, &gov) {
+    let res = match canvas_tvla::run(tvp, mode, cx.tvla_budget, entry_structs, &gov) {
         Ok(res) => res,
         Err(ex) => {
             return Report::inconclusive(
@@ -683,16 +633,10 @@ fn run_tvla(
             )
         }
     };
-    let violation = |v: &canvas_tvla::TvlaViolation| {
-        if cx.explain {
-            cx.violation_unavailable(&v.site, "the TVLA engines do not record provenance")
-        } else {
-            cx.violation(&v.site)
-        }
-    };
+    let why = "the TVLA engines do not record provenance";
     Report {
         engine,
-        violations: res.violations.iter().map(violation).collect(),
+        violations: res.violations.iter().map(|v| cx.violation_unavailable(&v.site, why)).collect(),
         stats: Stats {
             predicates: tvp.preds.len(),
             work: res.applications,

@@ -13,6 +13,34 @@ use std::fmt;
 use crate::certifier::CertifyError;
 use canvas_easl::EaslError;
 
+/// Writes to stdout. A reader that has gone away (`canvas … | head`) drops
+/// the rest of the output instead of panicking, so the run still ends with
+/// its own exit code. Both binaries print through this, via
+/// [`crate::out!`] and [`crate::outln!`].
+///
+/// # Panics
+///
+/// On any other write error, like `print!`.
+pub fn write_stdout(args: fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        assert!(e.kind() == std::io::ErrorKind::BrokenPipe, "failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => { $crate::out!("\n") };
+    ($($arg:tt)*) => { $crate::out!("{}\n", format_args!($($arg)*)) };
+}
+
 /// The pipeline stage an error was raised in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Stage {

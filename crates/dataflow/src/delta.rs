@@ -157,7 +157,6 @@ pub fn analyze_delta(
     seed: &DeltaSeed,
     gov: &Meter,
 ) -> Result<Option<FdsResult>, Exhaustion> {
-    canvas_faults::solver_abort();
     let n = bp.node_count;
     let width = bp.preds.len();
     let p = &seed.payload;

@@ -121,47 +121,33 @@ pub struct Violation {
     pub witness: Option<Vec<TraceStep>>,
 }
 
-/// Runs the may-be-1 analysis to fixpoint.
+/// Runs the may-be-1 analysis to fixpoint, ungoverned and untraced (the
+/// yardstick and property-test entry; engines call [`solve`]).
 pub fn analyze(bp: &BoolProgram) -> FdsResult {
-    let disarmed = Meter::disarmed();
-    match analyze_inner::<false>(bp, &disarmed) {
+    match solve(bp, &Meter::disarmed(), false) {
         Ok((res, _)) => res,
         Err(ex) => unreachable!("disarmed meter tripped: {ex}"),
     }
 }
 
-/// Like [`analyze`], but records per-fact provenance for witness traces.
-/// A separate monomorphization, so [`analyze`] pays nothing for it.
-pub fn analyze_traced(bp: &BoolProgram) -> (FdsResult, Provenance) {
-    let disarmed = Meter::disarmed();
-    match analyze_inner::<true>(bp, &disarmed) {
-        Ok(pair) => pair,
-        Err(ex) => unreachable!("disarmed meter tripped: {ex}"),
-    }
-}
-
-/// Governed variant of [`analyze`]: one meter tick per edge visit.
+/// The governed may-be-1 solve: one meter tick per edge visit. With
+/// `trace` it also records per-fact provenance for witness traces, in a
+/// separate monomorphization, so an untraced solve pays nothing for it.
 ///
 /// # Errors
 ///
 /// Returns the [`Exhaustion`] when the governor budget trips; the caller
 /// degrades to an inconclusive verdict.
-pub fn analyze_with(bp: &BoolProgram, gov: &Meter) -> Result<FdsResult, Exhaustion> {
-    canvas_faults::solver_abort();
-    analyze_inner::<false>(bp, gov).map(|(res, _)| res)
-}
-
-/// Governed variant of [`analyze_traced`].
-///
-/// # Errors
-///
-/// As [`analyze_with`].
-pub fn analyze_traced_with(
+pub fn solve(
     bp: &BoolProgram,
     gov: &Meter,
-) -> Result<(FdsResult, Provenance), Exhaustion> {
-    canvas_faults::solver_abort();
-    analyze_inner::<true>(bp, gov)
+    trace: bool,
+) -> Result<(FdsResult, Option<Provenance>), Exhaustion> {
+    if trace {
+        analyze_inner::<true>(bp, gov).map(|(res, prov)| (res, Some(prov)))
+    } else {
+        analyze_inner::<false>(bp, gov).map(|(res, _)| (res, None))
+    }
 }
 
 /// A word one edge's parallel assignment writes: which of its bits the
@@ -549,41 +535,18 @@ pub fn analyze_reference(bp: &BoolProgram) -> ScalarResult {
     ScalarResult { may_one: state, edge_visits, worklist_pops: pops }
 }
 
-/// Extracts the potential violations from a fixpoint.
-pub fn violations(bp: &BoolProgram, res: &FdsResult) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for c in &bp.checks {
-        let mut culprits = Vec::new();
-        let mut fires = false;
-        for op in &c.preds {
-            match op {
-                Operand::Const(true) => fires = true,
-                Operand::Const(false) => {}
-                Operand::Var(v) => {
-                    if res.get(c.node, *v) {
-                        fires = true;
-                        culprits.push(*v);
-                    }
-                }
-            }
-        }
-        if fires {
-            out.push(Violation { site: c.site.clone(), culprits, witness: None });
-        }
-    }
-    out
-}
-
-/// Like [`violations`], but resolves a witness trace for each violation from
-/// the provenance recorded by [`analyze_traced`]. Checks that fire only on a
-/// constant-true disjunct get an empty trace (the precondition is violated
-/// unconditionally).
-pub fn violations_explained(
+/// The potential violations of a fixpoint, whichever engine computed it:
+/// a check fires when one of its disjuncts is the constant 1 or a predicate
+/// that may be 1 at the check's node (`may_one(node, pred)`). With
+/// `witnesses`, each violation carries the trace of its first culprit
+/// (empty when the check fires only on a constant disjunct: the
+/// precondition is violated unconditionally). `witnesses` is a traced
+/// solve's provenance, with the client and derived abstraction its facts
+/// are rendered in.
+pub fn violations(
     bp: &BoolProgram,
-    res: &FdsResult,
-    prov: &Provenance,
-    program: &Program,
-    derived: &Derived,
+    may_one: impl Fn(usize, usize) -> bool,
+    witnesses: Option<(&Provenance, &Program, &Derived)>,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     for c in &bp.checks {
@@ -594,7 +557,7 @@ pub fn violations_explained(
                 Operand::Const(true) => fires = true,
                 Operand::Const(false) => {}
                 Operand::Var(v) => {
-                    if res.get(c.node, *v) {
+                    if may_one(c.node, *v) {
                         fires = true;
                         culprits.push(*v);
                     }
@@ -602,11 +565,11 @@ pub fn violations_explained(
             }
         }
         if fires {
-            let steps = match culprits.first() {
+            let witness = witnesses.map(|(prov, program, derived)| match culprits.first() {
                 Some(&p) => prov.trace(bp, program, derived, c.node, p),
                 None => Vec::new(),
-            };
-            out.push(Violation { site: c.site.clone(), culprits, witness: Some(steps) });
+            });
+            out.push(Violation { site: c.site.clone(), culprits, witness });
         }
     }
     out
@@ -631,7 +594,7 @@ mod tests {
         assert_eq!(res.to_bitsets(), reference.may_one, "kernels diverged");
         assert_eq!(res.edge_visits, reference.edge_visits);
         assert_eq!(res.worklist_pops, reference.worklist_pops);
-        violations(&bp, &res)
+        violations(&bp, |n, p| res.get(n, p), None)
     }
 
     #[test]

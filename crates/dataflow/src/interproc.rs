@@ -114,67 +114,26 @@ struct Ctx<'a> {
     phantoms: HashMap<(MethodId, Symbol), Vec<VarId>>,
 }
 
-/// Runs the context-sensitive interprocedural certifier from `main`.
+/// Runs the context-sensitive interprocedural certifier from `main`,
+/// governed: one meter tick per worklist pop in the summary, tabulation,
+/// and concrete fixpoints. With `trace` it also records per-fact
+/// provenance during tabulation and attaches a witness trace to every
+/// violation; witness chains stop at a method's entry when the justifying
+/// fact flowed in from a caller.
 ///
 /// A program without a static `main` reaches no method, so its result is
 /// empty: callers that certify must reject it first (`canvas-core` does).
-pub fn analyze(program: &Program, spec: &Spec, derived: &Derived) -> InterprocResult {
-    let disarmed = Meter::disarmed();
-    match analyze_impl(program, spec, derived, false, &disarmed) {
-        Ok(res) => res,
-        Err(ex) => unreachable!("disarmed meter tripped: {ex}"),
-    }
-}
-
-/// Like [`analyze`], but records per-fact provenance during tabulation and
-/// attaches a witness trace to every violation. Witness chains stop at a
-/// method's entry when the justifying fact flowed in from a caller.
-pub fn analyze_explained(program: &Program, spec: &Spec, derived: &Derived) -> InterprocResult {
-    let disarmed = Meter::disarmed();
-    match analyze_impl(program, spec, derived, true, &disarmed) {
-        Ok(res) => res,
-        Err(ex) => unreachable!("disarmed meter tripped: {ex}"),
-    }
-}
-
-/// Governed variant of [`analyze`]: one meter tick per worklist pop in the
-/// summary, tabulation, and concrete fixpoints.
 ///
 /// # Errors
 ///
 /// Returns the [`Exhaustion`] when the governor budget trips; the caller
 /// degrades to an inconclusive verdict.
-pub fn analyze_with(
+pub fn solve(
     program: &Program,
     spec: &Spec,
     derived: &Derived,
     gov: &Meter,
-) -> Result<InterprocResult, Exhaustion> {
-    canvas_faults::solver_abort();
-    analyze_impl(program, spec, derived, false, gov)
-}
-
-/// Governed variant of [`analyze_explained`].
-///
-/// # Errors
-///
-/// As [`analyze_with`].
-pub fn analyze_explained_with(
-    program: &Program,
-    spec: &Spec,
-    derived: &Derived,
-    gov: &Meter,
-) -> Result<InterprocResult, Exhaustion> {
-    canvas_faults::solver_abort();
-    analyze_impl(program, spec, derived, true, gov)
-}
-
-fn analyze_impl(
-    program: &Program,
-    spec: &Spec,
-    derived: &Derived,
-    explain: bool,
-    gov: &Meter,
+    trace: bool,
 ) -> Result<InterprocResult, Exhaustion> {
     let _span = INTERPROC_ANALYZE_TIME.span();
     INTERPROC_ANALYSES.incr();
@@ -237,7 +196,7 @@ fn analyze_impl(
     let mut ctx = Ctx { program: ext, spec, methods, ghost_of, formal_of, phantoms };
     ctx.compute_seeds();
     let (summaries, summary_iterations) = ctx.summary_fixpoint(gov)?;
-    let (violations, reachable) = ctx.tabulate(main_id, &summaries, derived, explain, gov)?;
+    let (violations, reachable) = ctx.tabulate(main_id, &summaries, derived, trace, gov)?;
     let max_instances = ctx.methods.iter().map(|m| m.bp.preds.len()).max().unwrap_or(0);
     INTERPROC_SUMMARY_ITERATIONS.add(summary_iterations as u64);
     canvas_telemetry::trace::instant(
@@ -826,7 +785,7 @@ mod tests {
         let spec = canvas_easl::builtin::cmp();
         let program = Program::parse(src, &spec).unwrap();
         let derived = derive_abstraction(&spec).unwrap();
-        analyze(&program, &spec, &derived).violations
+        solve(&program, &spec, &derived, &Meter::disarmed(), false).unwrap().violations
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! it. Walking those justifications backwards from a `requires` check yields
 //! a **witness trace**: the chain of establishment events (iterator created
 //! here, set mutated there) that ends in the violating use. Recording is a
-//! separate code path (`analyze_traced` vs `analyze`), so the certification
-//! hot path pays nothing when explanations are off.
+//! separate monomorphization of each solver (`solve(…, trace: true)`), so
+//! the certification hot path pays nothing when explanations are off.
 //!
 //! Justifications are recorded only the *first* time a fact becomes true.
 //! The solvers are monotone — a justification always refers to facts that
@@ -228,6 +228,12 @@ mod tests {
         (bp, program, derived)
     }
 
+    /// A traced, ungoverned FDS solve.
+    fn traced(bp: &BoolProgram) -> (crate::fds::FdsResult, Provenance) {
+        let (res, prov) = crate::fds::solve(bp, &canvas_faults::Meter::disarmed(), true).unwrap();
+        (res, prov.expect("a traced solve records provenance"))
+    }
+
     const SRC: &str = r#"
 class Main {
     static void main() {
@@ -242,8 +248,8 @@ class Main {
     #[test]
     fn chain_replays_and_collapses() {
         let (bp, program, derived) = build(SRC);
-        let (res, prov) = crate::fds::analyze_traced(&bp);
-        let viols = crate::fds::violations(&bp, &res);
+        let (res, prov) = traced(&bp);
+        let viols = crate::fds::violations(&bp, |n, p| res.get(n, p), None);
         assert_eq!(viols.len(), 1);
         let culprit = viols[0].culprits[0];
         let check = &bp.checks[0];
@@ -260,8 +266,8 @@ class Main {
     #[test]
     fn tampered_chains_do_not_replay() {
         let (bp, _, _) = build(SRC);
-        let (res, prov) = crate::fds::analyze_traced(&bp);
-        let viols = crate::fds::violations(&bp, &res);
+        let (res, prov) = traced(&bp);
+        let viols = crate::fds::violations(&bp, |n, p| res.get(n, p), None);
         let culprit = viols[0].culprits[0];
         let check = &bp.checks[0];
         let links = prov.chain(&bp, check.node, culprit);

@@ -17,11 +17,8 @@
 
 use canvas_abstraction::{BoolProgram, Operand, Rhs};
 use canvas_faults::{Exhaustion, Meter};
-use canvas_minijava::{Program, Site};
-use canvas_wp::Derived;
 
 use crate::bitset::BitSet;
-use crate::fds::Violation;
 use crate::provenance::{justify, Provenance};
 use crate::soa::{word_get, word_set, SmallIdVec, ValPool};
 
@@ -79,63 +76,35 @@ pub struct RelResult {
     pub transfers: usize,
 }
 
-/// Runs the relational analysis with a per-node state budget.
-///
-/// # Errors
-///
-/// Returns [`RelError`] if any node accumulates more than `budget`
-/// valuations (the engine is exponential in the worst case).
-pub fn analyze(bp: &BoolProgram, budget: usize) -> Result<RelResult, RelError> {
-    let disarmed = Meter::disarmed();
-    match analyze_inner::<false>(bp, budget, &disarmed) {
-        Ok((res, _)) => Ok(res),
-        Err(RelStop::States(e)) => Err(e),
-        Err(RelStop::Budget(ex)) => unreachable!("disarmed meter tripped: {ex}"),
+impl RelResult {
+    /// Whether predicate `p` is 1 in some valuation reachable at `node`.
+    pub fn may_one(&self, node: usize, p: usize) -> bool {
+        self.states[node].iter().any(|s| s.get(p))
     }
 }
 
-/// Like [`analyze`], but records per-fact provenance (over the may-union of
-/// the valuation sets) for witness traces.
+/// The governed relational solve: a per-node state budget of its own, one
+/// meter tick per valuation transfer, and governor state checks wherever
+/// the engine budget is checked. With `trace` it also records per-fact
+/// provenance (over the may-union of the valuation sets) for witness
+/// traces, in a separate monomorphization.
 ///
 /// # Errors
 ///
-/// As [`analyze`].
-pub fn analyze_traced(
-    bp: &BoolProgram,
-    budget: usize,
-) -> Result<(RelResult, Provenance), RelError> {
-    let disarmed = Meter::disarmed();
-    match analyze_inner::<true>(bp, budget, &disarmed) {
-        Ok(pair) => Ok(pair),
-        Err(RelStop::States(e)) => Err(e),
-        Err(RelStop::Budget(ex)) => unreachable!("disarmed meter tripped: {ex}"),
-    }
-}
-
-/// Governed variant of [`analyze`]: one meter tick per valuation transfer,
-/// plus governor state checks wherever the engine budget is checked.
-///
-/// # Errors
-///
-/// [`RelStop::States`] on the engine's own budget, [`RelStop::Budget`] when
-/// the shared governor trips.
-pub fn analyze_with(bp: &BoolProgram, budget: usize, gov: &Meter) -> Result<RelResult, RelStop> {
-    canvas_faults::solver_abort();
-    analyze_inner::<false>(bp, budget, gov).map(|(res, _)| res)
-}
-
-/// Governed variant of [`analyze_traced`].
-///
-/// # Errors
-///
-/// As [`analyze_with`].
-pub fn analyze_traced_with(
+/// [`RelStop::States`] when a node accumulates more than `budget`
+/// valuations (the engine is exponential in the worst case),
+/// [`RelStop::Budget`] when the shared governor trips.
+pub fn solve(
     bp: &BoolProgram,
     budget: usize,
     gov: &Meter,
-) -> Result<(RelResult, Provenance), RelStop> {
-    canvas_faults::solver_abort();
-    analyze_inner::<true>(bp, budget, gov)
+    trace: bool,
+) -> Result<(RelResult, Option<Provenance>), RelStop> {
+    if trace {
+        analyze_inner::<true>(bp, budget, gov).map(|(res, prov)| (res, Some(prov)))
+    } else {
+        analyze_inner::<false>(bp, budget, gov).map(|(res, _)| (res, None))
+    }
 }
 
 fn analyze_inner<const TRACE: bool>(
@@ -303,78 +272,21 @@ fn analyze_inner<const TRACE: bool>(
     Ok((RelResult { states, transfers }, prov))
 }
 
-/// Extracts potential violations from a relational fixpoint.
-pub fn violations(bp: &BoolProgram, res: &RelResult) -> Vec<Violation> {
-    let mut out: Vec<Violation> = Vec::new();
-    for c in &bp.checks {
-        let mut culprits = Vec::new();
-        let mut fires = false;
-        for op in &c.preds {
-            match op {
-                Operand::Const(true) => fires = true,
-                Operand::Const(false) => {}
-                Operand::Var(v) => {
-                    if res.states[c.node].iter().any(|s| s.get(*v)) {
-                        fires = true;
-                        culprits.push(*v);
-                    }
-                }
-            }
-        }
-        if fires {
-            out.push(Violation { site: c.site.clone(), culprits, witness: None });
-        }
-    }
-    out
-}
-
-/// Like [`violations`], but resolves a witness trace per violation from the
-/// provenance recorded by [`analyze_traced`].
-pub fn violations_explained(
-    bp: &BoolProgram,
-    res: &RelResult,
-    prov: &Provenance,
-    program: &Program,
-    derived: &Derived,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for c in &bp.checks {
-        let mut culprits = Vec::new();
-        let mut fires = false;
-        for op in &c.preds {
-            match op {
-                Operand::Const(true) => fires = true,
-                Operand::Const(false) => {}
-                Operand::Var(v) => {
-                    if res.states[c.node].iter().any(|s| s.get(*v)) {
-                        fires = true;
-                        culprits.push(*v);
-                    }
-                }
-            }
-        }
-        if fires {
-            let steps = match culprits.first() {
-                Some(&p) => prov.trace(bp, program, derived, c.node, p),
-                None => Vec::new(),
-            };
-            out.push(Violation { site: c.site.clone(), culprits, witness: Some(steps) });
-        }
-    }
-    out
-}
-
-/// A convenience wrapper: sites flagged by the relational engine.
-pub fn violation_sites(bp: &BoolProgram, res: &RelResult) -> Vec<Site> {
-    violations(bp, res).into_iter().map(|v| v.site).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use canvas_abstraction::{transform_method, EntryAssumption};
     use canvas_minijava::Program;
     use canvas_wp::derive_abstraction;
+
+    /// An ungoverned, untraced solve.
+    fn rel(bp: &BoolProgram, budget: usize) -> Result<RelResult, RelStop> {
+        solve(bp, budget, &Meter::disarmed(), false).map(|(res, _)| res)
+    }
+
+    fn sites(bp: &BoolProgram, may_one: impl Fn(usize, usize) -> bool) -> Vec<u32> {
+        crate::fds::violations(bp, may_one, None).iter().map(|v| v.site.line()).collect()
+    }
 
     fn build(src: &str) -> BoolProgram {
         let spec = canvas_easl::builtin::cmp();
@@ -405,11 +317,10 @@ class Main {
     #[test]
     fn relational_matches_fds_on_fig3() {
         let bp = build(FIG3);
-        let rel = analyze(&bp, 1 << 16).unwrap();
-        let rel_sites: Vec<u32> = violations(&bp, &rel).iter().map(|v| v.site.line()).collect();
+        let res = rel(&bp, 1 << 16).unwrap();
+        let rel_sites = sites(&bp, |n, p| res.may_one(n, p));
         let fds = crate::fds::analyze(&bp);
-        let fds_sites: Vec<u32> =
-            crate::fds::violations(&bp, &fds).iter().map(|v| v.site.line()).collect();
+        let fds_sites = sites(&bp, |n, p| fds.get(n, p));
         assert_eq!(rel_sites, fds_sites);
         assert_eq!(rel_sites, vec![10, 13]);
     }
@@ -417,8 +328,8 @@ class Main {
     #[test]
     fn states_are_canonically_sorted_and_deduplicated() {
         let bp = build(FIG3);
-        let rel = analyze(&bp, 1 << 16).unwrap();
-        for states in &rel.states {
+        let res = rel(&bp, 1 << 16).unwrap();
+        for states in &res.states {
             for pair in states.windows(2) {
                 assert!(pair[0].words() < pair[1].words(), "states must be strictly ascending");
             }
@@ -438,10 +349,10 @@ class Main {
         let derived = derive_abstraction(&spec).unwrap();
         let m = program.method_named("A.m").unwrap();
         let bp = transform_method(&program, m, &spec, &derived, EntryAssumption::Unknown);
-        let err = analyze(&bp, 4).unwrap_err();
-        assert_eq!(err.budget, 4);
+        let err = rel(&bp, 4).unwrap_err();
+        assert!(matches!(err, RelStop::States(RelError { budget: 4, .. })), "{err:?}");
         // with a generous budget it succeeds and flags the call
-        let ok = analyze(&bp, 1 << 20).unwrap();
-        assert_eq!(violations(&bp, &ok).len(), 1);
+        let ok = rel(&bp, 1 << 20).unwrap();
+        assert_eq!(sites(&bp, |n, p| ok.may_one(n, p)).len(), 1);
     }
 }

@@ -417,8 +417,10 @@ pub fn truncate_input(src: &str) -> &str {
     &src[..cut]
 }
 
-/// `solver-abort` injection point: panics when active. Placed at every
-/// governed solver entry so the engine isolation layer is exercised.
+/// `solver-abort` injection point: panics when active. Called once per
+/// engine run, inside the isolation layer of
+/// `canvas_core::Certifier::certify_method_shared`, which every engine run
+/// passes, so the layer is exercised on every engine.
 pub fn solver_abort() {
     assert!(!active(Fault::SolverAbort), "injected fault: solver-abort");
 }

@@ -175,14 +175,10 @@ pub struct AllocSiteResult {
     pub edge_visits: usize,
 }
 
-/// Runs the allocation-site baseline over one method (clean entry).
-pub fn analyze(program: &Program, method: &MethodIr, spec: &Spec) -> AllocSiteResult {
-    analyze_with_entry(program, method, spec, false)
-}
-
-/// [`analyze`] with optionally *unknown* entry state: parameters and
-/// statics point to unknown objects (for out-of-context certification).
-pub fn analyze_with_entry(
+/// Runs the allocation-site baseline over one method, from a clean entry
+/// or from an *unknown* one: parameters and statics point to unknown
+/// objects (for out-of-context certification).
+pub fn analyze(
     program: &Program,
     method: &MethodIr,
     spec: &Spec,
@@ -471,7 +467,7 @@ mod tests {
         let spec = canvas_easl::builtin::cmp();
         let program = Program::parse(src, &spec).unwrap();
         let main = program.main_method().expect("main required");
-        analyze(&program, main, &spec).violations.iter().map(|s| s.line()).collect()
+        analyze(&program, main, &spec, false).violations.iter().map(|s| s.line()).collect()
     }
 
     #[test]

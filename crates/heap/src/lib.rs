@@ -17,7 +17,4 @@
 
 pub mod allocsite;
 
-pub use allocsite::{
-    analyze as allocsite_analyze, analyze_with_entry as allocsite_analyze_with_entry,
-    AllocSiteResult,
-};
+pub use allocsite::{analyze as allocsite_analyze, AllocSiteResult};

@@ -775,11 +775,7 @@ impl CertCache {
                     // displaces takes its place in the spill
                     from_spill = true;
                     let entry = HotEntry { report: report.clone(), line: line.clone() };
-                    for (k, e) in self.hot.insert(key.0, entry, line_cost(&line)) {
-                        inner.stats.evictions += 1;
-                        CACHE_EVICTIONS.incr();
-                        inner.spill.insert(k, e.line);
-                    }
+                    self.admit(&mut inner, key.0, entry, line_cost(&line));
                     found = Some(report);
                 }
             }
@@ -821,14 +817,31 @@ impl CertCache {
         inner.stats.stores += 1;
         CACHE_STORES.incr();
         CACHE_BYTES.add(cost as u64);
-        for (k, e) in self.hot.insert(key.0, HotEntry { report, line }, cost) {
+        self.admit(&mut inner, key.0, HotEntry { report, line }, cost);
+        inner.dirty = true;
+    }
+
+    /// Admits `entry` under `key` into the hot tier, counting every entry
+    /// it displaces as an eviction and, on a disk-backed store, spilling
+    /// the evictee (an in-memory store forgets it).
+    fn admit(&self, inner: &mut Inner, key: u64, entry: HotEntry, cost: usize) {
+        for (k, e) in self.hot.insert(key, entry, cost) {
             inner.stats.evictions += 1;
             CACHE_EVICTIONS.incr();
             if self.path.is_some() {
                 inner.spill.insert(k, e.line);
             }
         }
-        inner.dirty = true;
+    }
+
+    /// Every line held, hot tier and spill, in sorted key order. The caller
+    /// holds the `inner` lock, so the two tiers are read consistently.
+    fn sorted_lines(&self, inner: &Inner) -> Vec<(u64, std::sync::Arc<str>)> {
+        let mut lines: Vec<(u64, std::sync::Arc<str>)> =
+            inner.spill.iter().map(|(k, l)| (*k, l.clone())).collect();
+        lines.extend(self.hot.entries().into_iter().map(|(k, e)| (k, e.line)));
+        lines.sort_unstable_by_key(|(k, _)| *k);
+        lines
     }
 
     /// Every certificate line currently held (hot tier plus spill), in
@@ -837,12 +850,7 @@ impl CertCache {
     /// are content-addressed, so a line is a self-contained certificate.
     pub fn export_lines(&self) -> Vec<(Fingerprint, std::sync::Arc<str>)> {
         let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut lines: Vec<(u64, std::sync::Arc<str>)> =
-            inner.spill.iter().map(|(k, l)| (*k, l.clone())).collect();
-        lines.extend(self.hot.entries().into_iter().map(|(k, e)| (k, e.line)));
-        drop(inner);
-        lines.sort_unstable_by_key(|(k, _)| *k);
-        lines.into_iter().map(|(k, l)| (Fingerprint(k), l)).collect()
+        self.sorted_lines(&inner).into_iter().map(|(k, l)| (Fingerprint(k), l)).collect()
     }
 
     /// Copies every certificate of `other` that this store does not
@@ -880,17 +888,8 @@ impl CertCache {
                             if in_hot.is_some() {
                                 let cost = line_cost(&line);
                                 CACHE_BYTES.add(cost as u64);
-                                for (k, e) in self.hot.insert(
-                                    key.0,
-                                    HotEntry { report, line: line.clone() },
-                                    cost,
-                                ) {
-                                    inner.stats.evictions += 1;
-                                    CACHE_EVICTIONS.incr();
-                                    if self.path.is_some() {
-                                        inner.spill.insert(k, e.line);
-                                    }
-                                }
+                                let entry = HotEntry { report, line: line.clone() };
+                                self.admit(&mut inner, key.0, entry, cost);
                             }
                             if inner.spill.contains_key(&key.0) {
                                 inner.spill.insert(key.0, line.clone());
@@ -910,13 +909,7 @@ impl CertCache {
             let cost = line_cost(&line);
             CACHE_MERGED.incr();
             CACHE_BYTES.add(cost as u64);
-            for (k, e) in self.hot.insert(key.0, HotEntry { report, line: line.clone() }, cost) {
-                inner.stats.evictions += 1;
-                CACHE_EVICTIONS.incr();
-                if self.path.is_some() {
-                    inner.spill.insert(k, e.line);
-                }
-            }
+            self.admit(&mut inner, key.0, HotEntry { report, line: line.clone() }, cost);
             inner.stats.merged += 1;
             out.merged += 1;
             inner.dirty = true;
@@ -981,10 +974,7 @@ impl CertCache {
         }
         // the disk tier is the union of both in-memory tiers: eviction
         // never loses a disk-backed certificate
-        let mut lines: Vec<(u64, std::sync::Arc<str>)> =
-            inner.spill.iter().map(|(k, l)| (*k, l.clone())).collect();
-        lines.extend(self.hot.entries().into_iter().map(|(k, e)| (k, e.line)));
-        lines.sort_unstable_by_key(|(k, _)| *k);
+        let lines = self.sorted_lines(&inner);
         let mut out = String::with_capacity(64 * lines.len());
         out.push_str(STORE_FORMAT);
         out.push('\n');

@@ -127,7 +127,7 @@ fn explore_on_this_stack(
     let mut o =
         Oracle { program, spec, config, violations: BTreeSet::new(), paths: 0, truncated: false };
     let entry = State { objects: Vec::new(), vars: HashMap::new() };
-    let exits = o.run_from(main, main.cfg.entry(), entry, 0, 0);
+    let exits = o.run_paths(main, main.cfg.entry(), entry, 0, 0);
     o.paths += exits.len();
     ORACLE_PATHS.add(o.paths as u64);
     Ok(OracleResult { violation_lines: o.violations, paths: o.paths, truncated: o.truncated })
@@ -166,7 +166,7 @@ struct Oracle<'a> {
 impl Oracle<'_> {
     /// Runs from `node` to the method exit, forking at branch points;
     /// returns the (return value, state) of every completed path.
-    fn run_from(
+    fn run_paths(
         &mut self,
         method: &MethodIr,
         node: NodeId,
@@ -196,7 +196,7 @@ impl Oracle<'_> {
         for e in &edges {
             let posts = self.step(&e.instr, state.clone(), depth, steps);
             for post in posts {
-                out.extend(self.run_from(method, e.to, post, depth, steps + 1));
+                out.extend(self.run_paths(method, e.to, post, depth, steps + 1));
                 if self.paths >= self.config.max_paths {
                     self.truncated = true;
                     return out;
@@ -320,7 +320,7 @@ impl Oracle<'_> {
                     entry.vars.insert(*p, argv.get(k).copied().flatten());
                 }
                 let exits =
-                    self.run_from(&callee_ir, callee_ir.cfg.entry(), entry, depth + 1, steps + 1);
+                    self.run_paths(&callee_ir, callee_ir.cfg.entry(), entry, depth + 1, steps + 1);
                 exits
                     .into_iter()
                     .map(|(ret, mut s)| {

@@ -52,48 +52,16 @@ pub struct TvlaResult {
     /// engine reports every check site reachable at bail-out time as a
     /// potential violation).
     pub exhausted: bool,
+    /// The final structure set of every node (the shape-graph renderings
+    /// of the evaluation read these).
+    pub states: Vec<Vec<Structure>>,
 }
 
-/// Runs the abstract interpreter over a TVP program from the empty heap.
-pub fn run(p: &TvpProgram, mode: EngineMode, max_structs_per_node: usize) -> TvlaResult {
-    let entry = vec![Structure::empty(&p.preds)];
-    run_from(p, mode, max_structs_per_node, entry)
-}
-
-/// Like [`run`], but also returns the final per-node structure sets (used
-/// by the shape-graph renderings of the evaluation and by tests).
-pub fn run_collect(
-    p: &TvpProgram,
-    mode: EngineMode,
-    max_structs_per_node: usize,
-) -> (TvlaResult, Vec<Vec<Structure>>) {
-    // re-run the fixpoint while keeping the states: the engine is
-    // deterministic, so running it once with collection is equivalent
-    let disarmed = Meter::disarmed();
-    match collect_states(p, mode, max_structs_per_node, vec![Structure::empty(&p.preds)], &disarmed)
-    {
-        Ok(pair) => pair,
-        Err(ex) => unreachable!("disarmed meter tripped: {ex}"),
-    }
-}
-
-/// Runs the abstract interpreter from explicit entry structures (used to
-/// certify methods out of context, with unknown parameter state).
-pub fn run_from(
-    p: &TvpProgram,
-    mode: EngineMode,
-    max_structs_per_node: usize,
-    entry: Vec<Structure>,
-) -> TvlaResult {
-    let disarmed = Meter::disarmed();
-    match collect_states(p, mode, max_structs_per_node, entry, &disarmed) {
-        Ok((res, _)) => res,
-        Err(ex) => unreachable!("disarmed meter tripped: {ex}"),
-    }
-}
-
-/// Governed variant of [`run_from`]: one meter tick per structure-transformer
-/// application, plus governor state checks on every target set.
+/// Runs the abstract interpreter over a TVP program from explicit entry
+/// structures (the empty heap for `main`; unknown parameter state to
+/// certify a method out of context), governed: one meter tick per
+/// structure-transformer application, plus governor state checks on every
+/// target set.
 ///
 /// The engine's own `max_structs_per_node` budget keeps its legacy meaning
 /// (conservative bail-out with `exhausted = true`); only the shared governor
@@ -103,24 +71,13 @@ pub fn run_from(
 /// # Errors
 ///
 /// Returns the [`Exhaustion`] when the governor budget trips.
-pub fn run_from_with(
+pub fn run(
     p: &TvpProgram,
     mode: EngineMode,
     max_structs_per_node: usize,
     entry: Vec<Structure>,
     gov: &Meter,
 ) -> Result<TvlaResult, Exhaustion> {
-    canvas_faults::solver_abort();
-    collect_states(p, mode, max_structs_per_node, entry, gov).map(|(res, _)| res)
-}
-
-fn collect_states(
-    p: &TvpProgram,
-    mode: EngineMode,
-    max_structs_per_node: usize,
-    entry: Vec<Structure>,
-    gov: &Meter,
-) -> Result<(TvlaResult, Vec<Vec<Structure>>), Exhaustion> {
     let _span = TVLA_SOLVE_TIME.span();
     // Publishes on drop so governor-tripped early exits are counted too.
     struct Tally {
@@ -260,7 +217,7 @@ fn collect_states(
         violations.into_iter().map(|site| TvlaViolation { site }).collect();
     violations.sort_by_key(|v| (v.site.method, v.site.span, v.site.what.clone()));
     let applications = tally.applications as usize;
-    Ok((TvlaResult { violations, applications, max_states, exhausted }, states))
+    Ok(TvlaResult { violations, applications, max_states, exhausted, states })
 }
 
 /// Renders a structure as a Graphviz DOT digraph (for visual inspection of
@@ -364,6 +321,11 @@ mod tests {
     use crate::tvp::{Action, Formula3, PredDecl, Update};
     use canvas_minijava::MethodId;
 
+    /// An ungoverned run from the empty heap.
+    fn solve(p: &TvpProgram, mode: EngineMode) -> TvlaResult {
+        run(p, mode, 1000, vec![Structure::empty(&p.preds)], &Meter::disarmed()).unwrap()
+    }
+
     fn site(line: u32) -> Site {
         Site {
             method: MethodId(0),
@@ -431,7 +393,7 @@ mod tests {
     fn straightline_no_alarm_both_modes() {
         let p = tiny_program();
         for mode in [EngineMode::Relational, EngineMode::IndependentAttribute] {
-            let r = run(&p, mode, 1000);
+            let r = solve(&p, mode);
             assert!(r.violations.is_empty(), "{mode:?}: {:?}", r.violations);
             assert!(!r.exhausted);
         }
@@ -456,7 +418,7 @@ mod tests {
             ],
         };
         for mode in [EngineMode::Relational, EngineMode::IndependentAttribute] {
-            let r = run(&p, mode, 1000);
+            let r = solve(&p, mode);
             assert_eq!(r.violations.len(), 1, "{mode:?}");
         }
     }

@@ -36,10 +36,7 @@ pub mod transfer;
 pub mod translate;
 pub mod tvp;
 
-pub use engine::{
-    render_structure, run, run_collect, run_from, run_from_with, to_dot, EngineMode, TvlaResult,
-    TvlaViolation,
-};
+pub use engine::{render_structure, run, to_dot, EngineMode, TvlaResult, TvlaViolation};
 pub use structure::Structure;
 pub use translate::{translate_generic, translate_specialized};
 pub use tvp::{Action, Formula3, Functional, PredDecl, PredId, PredKind, TvpProgram, Update};

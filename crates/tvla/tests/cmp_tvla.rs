@@ -2,9 +2,17 @@
 //! the specialized first-order abstraction (§5) versus the generic
 //! storage-shape-graph baseline (§3/§4.4).
 
+use canvas_faults::Meter;
 use canvas_minijava::Program;
-use canvas_tvla::{run, translate_generic, translate_specialized, EngineMode};
+use canvas_tvla::{
+    run, translate_generic, translate_specialized, EngineMode, Structure, TvlaResult, TvpProgram,
+};
 use canvas_wp::derive_abstraction;
+
+/// An ungoverned run from the empty heap.
+fn solve(tvp: &TvpProgram, mode: EngineMode) -> TvlaResult {
+    run(tvp, mode, 20_000, vec![Structure::empty(&tvp.preds)], &Meter::disarmed()).unwrap()
+}
 
 const FIG3: &str = r#"
 class Main {
@@ -29,7 +37,7 @@ fn specialized_lines(src: &str, mode: EngineMode) -> Vec<u32> {
     let derived = derive_abstraction(&spec).unwrap();
     let main = program.main_method().expect("main required");
     let tvp = translate_specialized(&program, main, &spec, &derived);
-    let r = run(&tvp, mode, 20_000);
+    let r = solve(&tvp, mode);
     assert!(!r.exhausted, "budget exhausted");
     r.violations.iter().map(|v| v.site.line()).collect()
 }
@@ -39,7 +47,7 @@ fn generic_lines(src: &str, mode: EngineMode) -> Vec<u32> {
     let program = Program::parse(src, &spec).unwrap();
     let main = program.main_method().expect("main required");
     let tvp = translate_generic(&program, main, &spec);
-    let r = run(&tvp, mode, 20_000);
+    let r = solve(&tvp, mode);
     assert!(!r.exhausted, "budget exhausted");
     r.violations.iter().map(|v| v.site.line()).collect()
 }
@@ -181,7 +189,7 @@ class Main {
     let derived = derive_abstraction(&spec).unwrap();
     let main = program.main_method().unwrap();
     let tvp = translate_specialized(&program, main, &spec, &derived);
-    let r = run(&tvp, EngineMode::Relational, 20_000);
+    let r = solve(&tvp, EngineMode::Relational);
     let lines: Vec<u32> = r.violations.iter().map(|v| v.site.line()).collect();
     // only the resumed t1 traversal (line 9) is invalid
     assert_eq!(lines, vec![9], "{:?}", r.violations);

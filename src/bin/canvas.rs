@@ -67,7 +67,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use canvas_core::{CanvasError, Certifier, Engine, Stage};
+use canvas_core::{out, outln, CanvasError, Certifier, Engine, Stage};
 use canvas_faults::Budget;
 use canvas_incr::service::{self, load_spec, ServeConfig};
 use canvas_incr::store::CertCache;
@@ -109,7 +109,7 @@ fn run(args: &[String]) -> Result<ExitCode, CanvasError> {
     match verb {
         Verb::Engines => {
             for e in canvas_core::registry() {
-                println!(
+                outln!(
                     "{:<26} {}",
                     e.name(),
                     if e.specialized() { "derived abstraction" } else { "generic baseline" }
@@ -120,10 +120,10 @@ fn run(args: &[String]) -> Result<ExitCode, CanvasError> {
         Verb::Specs => {
             let mut specs = canvas_easl::builtin::all();
             specs.push(canvas_easl::builtin::unbounded());
-            println!("{:<12} {:<20} {:<8} {:<8} derivation", "name", "class", "classes", "methods");
+            outln!("{:<12} {:<20} {:<8} {:<8} derivation", "name", "class", "classes", "methods");
             for spec in &specs {
                 let class = canvas_easl::classify(spec);
-                println!(
+                outln!(
                     "{:<12} {:<20} {:<8} {:<8} {}",
                     spec.name(),
                     format!("{class:?}"),
@@ -149,7 +149,7 @@ fn run(args: &[String]) -> Result<ExitCode, CanvasError> {
 
 /// Prints the usage summary; exit 2.
 fn usage() -> ExitCode {
-    println!(
+    outln!(
         "usage:\n  canvas derive  --spec <cmp|grp|imp|aop|PATH.easl> [--metrics] \
          [--log-json PATH]\n  \
          canvas certify --spec <...> [--engine <name>] [--whole-program|--inline] \
@@ -176,21 +176,21 @@ fn derive(o: &Opts) -> Result<ExitCode, CanvasError> {
     canvas_telemetry::set_enabled(o.metrics);
     init_log_json(o.log_json.as_deref())?;
     let spec = load_spec(o.spec())?;
-    println!("specification {} ({:?})", spec.name(), canvas_easl::classify(&spec));
+    outln!("specification {} ({:?})", spec.name(), canvas_easl::classify(&spec));
     let certifier = Certifier::from_spec(spec)?;
-    println!("derived instrumentation-predicate families:");
+    outln!("derived instrumentation-predicate families:");
     for f in certifier.derived().families() {
-        println!("  {f}");
+        outln!("  {f}");
     }
     let stats = certifier.derived().stats();
-    println!(
+    outln!(
         "derivation: {} WP computations, {} equivalence checks, converged in {} rounds",
         stats.wp_count,
         stats.equiv_checks,
         stats.families_discovered.len()
     );
     if o.metrics {
-        print!("{}", canvas_telemetry::snapshot());
+        out!("{}", canvas_telemetry::snapshot());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -246,12 +246,12 @@ fn certify(o: &Opts) -> Result<ExitCode, CanvasError> {
         certifier.certify(&program, o.engine)?
     };
     if o.explain {
-        print!("{}", report.render_explained(client_path, &source));
+        out!("{}", report.render_explained(client_path, &source));
     } else {
-        print!("{report}");
+        out!("{report}");
     }
     if o.metrics {
-        print!("{}", canvas_telemetry::snapshot());
+        out!("{}", canvas_telemetry::snapshot());
     }
     if let Some(path) = &o.trace_out {
         let json = canvas_telemetry::trace::export_chrome_json();
@@ -304,17 +304,17 @@ fn check(o: &Opts) -> Result<ExitCode, CanvasError> {
         Ok(outcome) => {
             let s = &outcome.stats;
             if outcome.certified {
-                println!(
+                outln!(
                     "certificate valid: {client_path} certified conformant with {}",
                     certifier.spec().name()
                 );
             } else {
-                println!(
+                outln!(
                     "certificate valid: {} potential violation(s) confirmed",
                     outcome.violations.len()
                 );
                 for v in &outcome.violations {
-                    println!("  {}:{}:{} {} in {}", client_path, v.line, v.col, v.what, v.method);
+                    outln!("  {}:{}:{} {} in {}", client_path, v.line, v.col, v.what, v.method);
                 }
             }
             eprintln!(
@@ -333,7 +333,7 @@ fn check(o: &Opts) -> Result<ExitCode, CanvasError> {
         }
     };
     if o.metrics {
-        print!("{}", canvas_telemetry::snapshot());
+        out!("{}", canvas_telemetry::snapshot());
     }
     Ok(code)
 }
@@ -371,8 +371,8 @@ fn fleet_gen(o: &Opts) -> Result<ExitCode, CanvasError> {
     };
     let m = manifest::Manifest::from_programs(params, &programs);
     manifest::write_corpus(Path::new(out), &m, &programs, o.force)?;
-    println!("fleet gen: {} programs (seed {}) -> {out}", programs.len(), params.seed);
-    println!("  manifest digest: {}", m.digest);
+    outln!("fleet gen: {} programs (seed {}) -> {out}", programs.len(), params.seed);
+    outln!("  manifest digest: {}", m.digest);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -395,7 +395,7 @@ fn fleet_run(o: Opts) -> Result<ExitCode, CanvasError> {
         manifest_digest: Some(m.digest),
     };
     let report = driver::run_fleet(&items, &cfg)?;
-    print!("{}", report.render());
+    out!("{}", report.render());
     if let Some(path) = o.report {
         std::fs::write(&path, report.to_json().render())
             .map_err(|e| CanvasError::io(Stage::Cli, &path, &e))?;

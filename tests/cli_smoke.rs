@@ -3,7 +3,8 @@
 //! restart, its observability surface (Prometheus exposition, in-band
 //! blocks, the `canvas-log/1` stream), a 200-request TCP burst against a
 //! two-slot admission queue, every `CANVAS_FAULT` leg the binary answers,
-//! and the usage errors of the one option parser.
+//! a fleet generated, certified cold and re-certified warm, a closed
+//! stdout, and the usage errors of the one option parser.
 //!
 //! Each scenario works in its own directory under `CARGO_TARGET_TMPDIR`,
 //! so nothing is written into the source tree.
@@ -406,6 +407,81 @@ fn every_injected_fault_is_contained_with_its_exit_code() {
     canvas(&dir, &gen, "", &[]).expect(0, "manifest digest");
     let run = ["fleet", "run", "--corpus", "fault.corpus", "--shards", "4"];
     fault("shard-death", &run, "", 3, "1 poisoned programs, 1 dead shards");
+}
+
+/// The fleet pipeline end to end at `programs` programs: generation is
+/// deterministic across thread counts, a cold 4-shard run certifies the
+/// corpus (seeded with violations, so exit 1) with nothing poisoned, dead
+/// or mistaken, and a warm run answers every cell from the merged store and
+/// reproduces the cold corpus digest.
+fn fleet_generates_certifies_and_rewarms(name: &str, programs: usize) {
+    let dir = scratch(name);
+    let n = programs.to_string();
+    let gen = |out: &str, threads: &str| {
+        let args = ["fleet", "gen", "--out", out, "--programs", &n, "--seed", "20020517"];
+        let run = canvas(&dir, &[&args[..], &["--threads", threads]].concat(), "", &[]);
+        run.expect(0, "manifest digest: ");
+        run
+    };
+    let (one, two) = (gen("one.corpus", "1"), gen("two.corpus", "2"));
+    assert_eq!(field(&one.stdout, "manifest digest: "), field(&two.stdout, "manifest digest: "));
+    let manifest = |corpus: &str| {
+        std::fs::read(dir.join(corpus).join("manifest.json")).expect("the corpus has a manifest")
+    };
+    assert!(manifest("one.corpus") == manifest("two.corpus"), "manifest.json differs");
+
+    let run = ["fleet", "run", "--corpus", "one.corpus", "--shards", "4", "--cache-dir", "store"];
+    let cold = canvas(&dir, &run, "", &[]);
+    cold.expect(1, &format!("fleet: {n} programs"));
+    cold.expect(
+        1,
+        &format!("0 poisoned programs, 0 dead shards, 0 truth mismatches ({n} checked)"),
+    );
+    let warm = canvas(&dir, &run, "", &[]);
+    let hits: u64 = field(&warm.stdout, "cache: ").parse().expect("a hit count");
+    warm.expect(1, &format!("cache: {hits} hits, 0 misses, 0 delta-seeded"));
+    assert_eq!(field(&cold.stdout, "corpus digest: "), field(&warm.stdout, "corpus digest: "));
+}
+
+/// The whitespace-delimited word after the first `label` in `text`.
+fn field<'a>(text: &'a str, label: &str) -> &'a str {
+    let at = text.find(label).unwrap_or_else(|| panic!("{label:?} in:\n{text}"));
+    let word = text[at + label.len()..].split_whitespace().next().unwrap_or("");
+    assert!(!word.is_empty(), "nothing after {label:?} in:\n{text}");
+    word
+}
+
+#[test]
+fn fleet_of_a_few_hundred_programs_rewarms_from_its_store() {
+    fleet_generates_certifies_and_rewarms("fleet", 300);
+}
+
+/// The same scenario at CI scale (`cargo test --release --test cli_smoke
+/// -- --ignored`).
+#[test]
+#[ignore = "10k programs: CI scale"]
+fn fleet_of_10k_programs_rewarms_from_its_store() {
+    fleet_generates_certifies_and_rewarms("fleet-10k", 10_000);
+}
+
+/// A reader that closed its end of stdout (`canvas derive … | head`) ends
+/// the run quietly: no panic message, and the verb's own exit code.
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    let dir = scratch("closed-stdout");
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(CANVAS)
+        .args(["derive", "--spec", "cmp"])
+        .current_dir(&dir)
+        .env_remove("CANVAS_FAULT")
+        .stdout(Stdio::from(writer))
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run canvas");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
 
 /// The one option parser: an unknown option, a missing operand and an

@@ -130,8 +130,8 @@ proptest! {
                 after
             );
             prop_assert_eq!(
-                fds::violations(&new_bp, &warm),
-                fds::violations(&new_bp, &cold),
+                fds::violations(&new_bp, |n, p| warm.get(n, p), None),
+                fds::violations(&new_bp, |n, p| cold.get(n, p), None),
                 "violations diverged on:\n{}",
                 after
             );

@@ -7,6 +7,7 @@
 use canvas_conformance::abstraction::{transform_method, EntryAssumption, Operand};
 use canvas_conformance::dataflow::fds;
 use canvas_conformance::dataflow::provenance::replay;
+use canvas_conformance::faults::Meter;
 use canvas_conformance::suite::generators;
 use canvas_conformance::{easl, minijava, wp};
 use canvas_conformance::{Certifier, Engine};
@@ -25,7 +26,8 @@ proptest! {
         let derived = wp::derive_abstraction(&spec).expect("cmp derives");
         let main = program.main_method().expect("main");
         let bp = transform_method(&program, main, &spec, &derived, EntryAssumption::Clean);
-        let (res, prov) = fds::analyze_traced(&bp);
+        let (res, prov) = fds::solve(&bp, &Meter::disarmed(), true).expect("disarmed meter");
+        let prov = prov.expect("a traced solve records provenance");
         for c in &bp.checks {
             for op in &c.preds {
                 if let Operand::Var(p) = op {
@@ -43,8 +45,10 @@ proptest! {
         }
     }
 
-    /// At the certifier level, `--explain` attaches a witness to every FDS
-    /// violation, and explaining never changes the verdict.
+    /// At the certifier level, `--explain` attaches a witness trace to every
+    /// violation of each provenance-recording engine (FDS, relational,
+    /// interprocedural), and explaining never changes the verdict. Every
+    /// case runs all three engines, so each sees every generated client.
     #[test]
     fn explain_preserves_verdict_and_attaches_witnesses(
         blocks in 1usize..6, seed in 0u64..500
@@ -54,16 +58,19 @@ proptest! {
         let explained = Certifier::from_spec(easl::builtin::cmp())
             .expect("cmp derives")
             .with_explain(true);
-        let r0 = plain.certify_source(&g.source, Engine::ScmpFds).expect("fds runs");
-        let r1 = explained.certify_source(&g.source, Engine::ScmpFds).expect("fds runs");
-        prop_assert_eq!(r0.lines(), r1.lines(), "\n{}", g.source);
-        prop_assert_eq!(r1.lines(), g.error_lines.clone(), "\n{}", g.source);
-        for v in &r1.violations {
-            prop_assert!(
-                matches!(v.witness, Some(canvas_conformance::core::Witness::Trace(_))),
-                "FDS violation at line {} lacks a witness trace",
-                v.line
-            );
+        for engine in [Engine::ScmpFds, Engine::ScmpRelational, Engine::ScmpInterproc] {
+            let r0 = plain.certify_source(&g.source, engine).expect("engine runs");
+            let r1 = explained.certify_source(&g.source, engine).expect("engine runs");
+            prop_assert_eq!(r0.lines(), r1.lines(), "{}\n{}", engine, g.source);
+            prop_assert_eq!(r1.lines(), g.error_lines.clone(), "{}\n{}", engine, g.source);
+            for v in &r1.violations {
+                prop_assert!(
+                    matches!(v.witness, Some(canvas_conformance::core::Witness::Trace(_))),
+                    "{} violation at line {} lacks a witness trace",
+                    engine,
+                    v.line
+                );
+            }
         }
     }
 }
