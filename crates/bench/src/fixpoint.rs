@@ -224,6 +224,26 @@ pub fn collect_fixpoint_metrics() -> FixpointMetrics {
     FixpointMetrics { sweep: fixpoint_sweep(FIXPOINT_SWEEP), delta: delta_table() }
 }
 
+/// The delta experiment's rows as the `"delta"` array of the `eval
+/// fixpoint` document's deterministic section.
+pub fn delta_to_json(rows: &[DeltaRow]) -> Json {
+    Json::Arr(
+        rows.iter()
+            .map(|r| {
+                obj(vec![
+                    ("method", Json::Str(r.method.clone())),
+                    ("seeded", Json::Bool(r.seeded)),
+                    ("cold_pops", Json::Int(r.cold_pops as u64)),
+                    ("delta_pops", Json::Int(r.delta_pops as u64)),
+                    ("cold_visits", Json::Int(r.cold_visits as u64)),
+                    ("delta_visits", Json::Int(r.delta_visits as u64)),
+                    ("same_fixpoint", Json::Bool(r.same_fixpoint)),
+                ])
+            })
+            .collect(),
+    )
+}
+
 /// Builds the stable `canvas-bench-eval/2` document for `eval fixpoint`.
 /// Everything under `"deterministic"` must be byte-identical run-to-run
 /// (CI gates it against the `"fixpoint"` key of `bench/baseline.json`);
@@ -241,22 +261,6 @@ pub fn fixpoint_to_json(m: &FixpointMetrics) -> Json {
                     ("edge_visits", Json::Int(p.edge_visits as u64)),
                     ("worklist_pops", Json::Int(p.worklist_pops as u64)),
                     ("words_touched", Json::Int(p.words_touched)),
-                ])
-            })
-            .collect(),
-    );
-    let det_delta = Json::Arr(
-        m.delta
-            .iter()
-            .map(|r| {
-                obj(vec![
-                    ("method", Json::Str(r.method.clone())),
-                    ("seeded", Json::Bool(r.seeded)),
-                    ("cold_pops", Json::Int(r.cold_pops as u64)),
-                    ("delta_pops", Json::Int(r.delta_pops as u64)),
-                    ("cold_visits", Json::Int(r.cold_visits as u64)),
-                    ("delta_visits", Json::Int(r.delta_visits as u64)),
-                    ("same_fixpoint", Json::Bool(r.same_fixpoint)),
                 ])
             })
             .collect(),
@@ -293,7 +297,7 @@ pub fn fixpoint_to_json(m: &FixpointMetrics) -> Json {
             .collect(),
     );
     bench_document(
-        obj(vec![("sweep", det_sweep), ("delta", det_delta), ("counters", counters)]),
+        obj(vec![("sweep", det_sweep), ("delta", delta_to_json(&m.delta)), ("counters", counters)]),
         obj(vec![("sweep", measured)]),
     )
 }

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use canvas_core::{Certifier, CertifyError, Engine, PreparedProgram};
+use canvas_core::{panic_message, Certifier, CertifyError, Engine, PreparedProgram};
 use canvas_suite::{corpus, generators, Benchmark};
 
 // the JSON support moved into `canvas-incr` (the certificate store and
@@ -152,16 +152,6 @@ fn failed_cell(b: &Benchmark, engine: Engine, why: String) -> PrecisionCell {
 fn poisoned_cell(b: &Benchmark, engine: Engine, message: String) -> PrecisionCell {
     SUITE_POISONED.add(1);
     PrecisionCell { poisoned: true, ..failed_cell(b, engine, format!("panicked: {message}")) }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// The full precision table (E4): all benchmarks × all engines.

@@ -14,6 +14,7 @@ use canvas_minijava::{MethodIr, Program};
 use canvas_wp::{derive_abstraction, DeriveError, Derived};
 
 use crate::engine::{registry, AnalysisEngine, MethodContext, PreparedProgram, SharedTransforms};
+use crate::error::panic_message;
 use crate::report::Report;
 
 /// The available certification engines (paper §3–§8) with their
@@ -566,17 +567,6 @@ fn unavailable_cell(method: String, entry: EntryAssumption, reason: String) -> C
         preds: 0,
         bp_digest: 0,
         solution: CellSolution::Unavailable { reason },
-    }
-}
-
-/// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

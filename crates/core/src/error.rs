@@ -28,6 +28,18 @@ pub fn write_stdout(args: fmt::Arguments<'_>) {
     }
 }
 
+/// The message of a caught panic's payload (`panic!` with a literal or a
+/// formatted string), for reporting a contained panic.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// `print!` through [`write_stdout`].
 #[macro_export]
 macro_rules! out {

@@ -53,5 +53,5 @@ mod report;
 pub use canvas_abstraction::{CellSolution, CertCell, CertFormatError, CertViolation, Certificate};
 pub use certifier::{solved_cell, walk_program, Certifier, CertifyError, Engine};
 pub use engine::{registry, AnalysisEngine, MethodContext, PreparedProgram, SharedTransforms};
-pub use error::{write_stdout, CanvasError, ErrorKind, Stage};
+pub use error::{panic_message, write_stdout, CanvasError, ErrorKind, Stage};
 pub use report::{Report, Stats, Verdict, Violation, Witness, WitnessStep};

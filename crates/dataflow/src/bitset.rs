@@ -57,20 +57,12 @@ impl BitSet {
             canvas_telemetry::Counter::new("dataflow.bitset_unions");
         BITSET_UNIONS.incr();
         assert_eq!(self.len, other.len, "bit set width mismatch");
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let next = *a | *b;
-            if next != *a {
-                *a = next;
-                changed = true;
-            }
-        }
-        changed
+        crate::soa::or_into(&mut self.words, &other.words)
     }
 
     /// Whether `self ⊆ other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
-        self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
+        crate::soa::is_subset(&self.words, &other.words)
     }
 
     /// Iterates over set bit indices.
@@ -86,6 +78,11 @@ impl BitSet {
     /// The backing words, least-significant bit first.
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// The backing words, mutably (bits past `len` must stay clear).
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
     }
 
     /// Builds a `len`-bit set from a word row (e.g. a [`crate::soa`]

@@ -1,5 +1,9 @@
-//! Within-method delta re-solve: seed the FDS fixpoint from a cached
+//! Within-method delta re-solve: start the FDS fixpoint from a cached
 //! solution instead of bottom.
+//!
+//! This module only *prepares a start* for the one kernel in
+//! [`crate::fds`]; the re-solve is that kernel, run from the carried rows
+//! and a boundary worklist over just the edges with an affected endpoint.
 //!
 //! When `canvas-incr` holds a completed [`crate::fds`] solution for an
 //! earlier version of a method, a cold re-solve throws that work away and
@@ -45,10 +49,8 @@ use canvas_abstraction::certificate::Digest;
 use canvas_abstraction::{BoolEdge, BoolProgram, Operand, Rhs};
 use canvas_faults::{Exhaustion, Meter};
 
-use crate::fds::{
-    apply_edge, FdsResult, TransferPlan, FDS_EDGE_VISITS, FDS_WORDS_TOUCHED, FDS_WORKLIST_POPS,
-};
-use crate::soa::{is_subset, word_get, word_set, WordArena};
+use crate::fds::{analyze_inner, csr_out_edges, edge_image, out_of, FdsResult, Start};
+use crate::soa::{is_subset, WordArena};
 
 /// Deterministic count of FDS solves seeded from a cached solution.
 pub static DELTA_SEEDED: canvas_telemetry::Counter =
@@ -188,59 +190,34 @@ pub fn analyze_delta(
     for e in &bp.edges {
         *counts.entry((e.from as u32, e.to as u32, edge_digest(e))).or_insert(0) -= 1;
     }
-    let mut affected = vec![false; n];
-    let mut frontier: Vec<usize> = Vec::new();
-    for (&(_, to, _), &c) in &counts {
-        if c != 0 && (to as usize) < n && !affected[to as usize] {
-            affected[to as usize] = true;
-            frontier.push(to as usize);
-        }
-    }
-    let entry_unknown_new: Vec<u32> = bp.entry_unknown.iter().map(|&k| k as u32).collect();
-    if entry_unknown_new != p.entry_unknown && !affected[bp.entry] {
-        affected[bp.entry] = true;
+    let mut frontier: Vec<usize> = counts
+        .iter()
+        .filter(|&(&(_, to, _), &c)| c != 0 && (to as usize) < n)
+        .map(|(&(_, to, _), _)| to as usize)
+        .collect();
+    if !bp.entry_unknown.iter().map(|&k| k as u32).eq(p.entry_unknown.iter().copied()) {
         frontier.push(bp.entry);
     }
 
     // 2. forward closure of the affected targets over the UNION graph
     //    (old edges touching dropped node ids are skipped: an old path
     //    through a dropped node re-enters the new id space only via an
-    //    unmatched edge, whose target was already marked in step 1)
-    let mut union_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for e in &p.edges {
-        if (e.from as usize) < n && (e.to as usize) < n {
-            union_adj[e.from as usize].push(e.to);
-        }
-    }
-    for e in &bp.edges {
-        union_adj[e.from].push(e.to as u32);
-    }
-    while let Some(u) = frontier.pop() {
-        for &v in &union_adj[u] {
-            if !affected[v as usize] {
-                affected[v as usize] = true;
-                frontier.push(v as usize);
-            }
-        }
-    }
-
-    // 3. entry reachability over the NEW graph: facts may only flow out of
-    //    nodes the new program reaches
+    //    unmatched edge, whose target is already on the step-1 frontier)
     let mut new_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
     for e in &bp.edges {
         new_adj[e.from].push(e.to as u32);
     }
-    let mut reachable = vec![false; n];
-    let mut stack = vec![bp.entry];
-    reachable[bp.entry] = true;
-    while let Some(u) = stack.pop() {
-        for &v in &new_adj[u] {
-            if !reachable[v as usize] {
-                reachable[v as usize] = true;
-                stack.push(v as usize);
-            }
-        }
+    let mut union_adj = new_adj.clone();
+    for e in p.edges.iter().filter(|e| (e.from as usize) < n && (e.to as usize) < n) {
+        union_adj[e.from as usize].push(e.to);
     }
+    let mut affected = vec![false; n];
+    close_forward(&union_adj, &mut affected, frontier);
+
+    // 3. entry reachability over the NEW graph: facts may only flow out of
+    //    nodes the new program reaches
+    let mut reachable = vec![false; n];
+    close_forward(&new_adj, &mut reachable, vec![bp.entry]);
 
     // 4. load the carried rows; affected rows start at ⊥. A new node id
     //    beyond the old program with no solution row is either affected
@@ -258,9 +235,6 @@ pub fn analyze_delta(
         }
     }
 
-    let stride = arena.stride();
-    let mut scratch = vec![0u64; stride];
-
     // 5. pre-fixpoint validation of the carried region: every new edge
     //    between carried reachable nodes must already be satisfied, and
     //    the carried entry row must cover the entry seed
@@ -268,107 +242,60 @@ pub fn analyze_delta(
         DELTA_FALLBACK.incr();
         return Ok(None);
     }
+    let mut image = vec![0u64; arena.stride()];
     for e in &bp.edges {
         if affected[e.from] || affected[e.to] || !reachable[e.from] {
             continue;
         }
-        scratch.copy_from_slice(arena.row(e.from));
-        for (dst, rhs) in &e.assigns {
-            let bit = match rhs {
-                Rhs::Havoc => true,
-                Rhs::Disj(ops) => ops.iter().any(|op| match op {
-                    Operand::Const(c) => *c,
-                    Operand::Var(v) => word_get(arena.row(e.from), *v),
-                }),
-            };
-            word_set(&mut scratch, *dst, bit);
-        }
-        if !is_subset(&scratch, arena.row(e.to)) {
+        edge_image(e, arena.row(e.from), &mut image);
+        if !is_subset(&image, arena.row(e.to)) {
             DELTA_FALLBACK.incr();
             return Ok(None);
         }
     }
 
-    // 6. seed the worklist: reachable carried nodes with an edge into the
-    //    affected region (ascending, for determinism), plus the entry when
-    //    it is itself affected
-    let (out_start, out_idx) = crate::fds::csr_out_edges(n, &bp.edges);
-    let out_of = |node: usize| &out_idx[out_start[node] as usize..out_start[node + 1] as usize];
+    // 6. the kernel's start: the carried rows, every reachable carried
+    //    node reached, and only the edges with an affected endpoint —
+    //    carried-to-carried edges are validated closed, so visiting them
+    //    would grow nothing. The worklist holds the reachable carried nodes
+    //    with an edge into the affected region (their only kept edges),
+    //    ascending for determinism, plus the entry when it is affected.
+    let out = csr_out_edges(n, &bp.edges, |e| affected[e.from] || affected[e.to]);
     let mut work: Vec<usize> = Vec::new();
-    let mut on_work = vec![false; n];
     let mut reached = vec![false; n];
     for node in 0..n {
         if !affected[node] && reachable[node] {
             reached[node] = true;
-            if out_of(node).iter().any(|&ek| affected[bp.edges[ek as usize].to]) {
-                on_work[node] = true;
+            if out_of(&out, node).next().is_some() {
                 work.push(node);
             }
         }
     }
-    if affected[bp.entry] && !on_work[bp.entry] {
-        on_work[bp.entry] = true;
-        work.push(bp.entry);
-    }
     if affected[bp.entry] {
         reached[bp.entry] = true;
+        work.push(bp.entry);
     }
 
-    // 7. the bit-parallel kernel loop, verbatim — only the starting state
-    //    and worklist differ from a cold solve. Seeded nodes carry whole
-    //    rows their first pop must propagate, so their nonzero words start
-    //    dirty; everything after that is the same delta discipline as the
-    //    cold kernel.
-    let plan = TransferPlan::build(&bp.edges);
-    let mut vals: Vec<u64> = Vec::new();
-    let mw = stride.div_ceil(64).max(1);
-    let mut dirty: Vec<u64> = vec![0; n * mw];
-    let mut pop_mask: Vec<u64> = vec![0; mw];
-    for &node in &work {
-        crate::fds::mark_row_dirty(&arena, &mut dirty, mw, node);
+    // 7. the one FDS kernel, from that start
+    let start = Start { arena, work, reached, out };
+    let (res, _) = analyze_inner::<false>(bp, gov, start, "fds.delta_fixpoint")?;
+    DELTA_SEEDED.incr();
+    Ok(Some(res))
+}
+
+/// Marks the nodes on `stack` and everything reachable from them in `adj`.
+fn close_forward(adj: &[Vec<u32>], marked: &mut [bool], mut stack: Vec<usize>) {
+    for &u in &stack {
+        marked[u] = true;
     }
-    let mut edge_visits = 0usize;
-    let mut pops = 0u64;
-    while let Some(node) = work.pop() {
-        pops += 1;
-        on_work[node] = false;
-        pop_mask.copy_from_slice(&dirty[node * mw..(node + 1) * mw]);
-        dirty[node * mw..(node + 1) * mw].fill(0);
-        for &ek in &out_idx[out_start[node] as usize..out_start[node + 1] as usize] {
-            let ek = ek as usize;
-            let e = &bp.edges[ek];
-            // carried-to-carried edges are already validated as closed;
-            // skipping them keeps the pop/visit tally proportional to the
-            // changed region
-            if !affected[e.to] && !affected[e.from] {
-                continue;
-            }
-            edge_visits += 1;
-            if let Err(ex) = gov.tick() {
-                FDS_WORKLIST_POPS.add(pops);
-                FDS_EDGE_VISITS.add(edge_visits as u64);
-                FDS_WORDS_TOUCHED.add(2 * stride as u64 * edge_visits as u64);
-                return Err(ex);
-            }
-            let grew = apply_edge(&mut arena, ek, e, &plan, &mut vals, &pop_mask, &mut dirty, mw);
-            let first_visit = !reached[e.to];
-            reached[e.to] = true;
-            if (grew || first_visit) && !on_work[e.to] {
-                on_work[e.to] = true;
-                work.push(e.to);
+    while let Some(u) = stack.pop() {
+        for &v in &adj[u] {
+            if !marked[v as usize] {
+                marked[v as usize] = true;
+                stack.push(v as usize);
             }
         }
     }
-    FDS_WORKLIST_POPS.add(pops);
-    FDS_EDGE_VISITS.add(edge_visits as u64);
-    FDS_WORDS_TOUCHED.add(2 * stride as u64 * edge_visits as u64);
-    DELTA_SEEDED.incr();
-    canvas_telemetry::trace::instant(
-        "fds.delta_fixpoint",
-        "solver",
-        &[("edge_visits", edge_visits as u64), ("worklist_pops", pops)],
-    );
-    Ok(Some(FdsResult::new(arena, edge_visits, pops as usize)))
 }
 
 #[cfg(test)]

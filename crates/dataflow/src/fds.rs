@@ -29,14 +29,14 @@ use canvas_minijava::{Program, Site};
 use canvas_wp::Derived;
 
 use crate::bitset::BitSet;
-use crate::provenance::{justify, Provenance, TraceStep};
+use crate::provenance::{Provenance, TraceStep};
 use crate::soa::{word_get, word_set, WordArena};
 
-pub(crate) static FDS_WORKLIST_POPS: canvas_telemetry::Counter =
+static FDS_WORKLIST_POPS: canvas_telemetry::Counter =
     canvas_telemetry::Counter::new("fds.worklist_pops");
-pub(crate) static FDS_EDGE_VISITS: canvas_telemetry::Counter =
+static FDS_EDGE_VISITS: canvas_telemetry::Counter =
     canvas_telemetry::Counter::new("fds.edge_visits");
-pub(crate) static FDS_WORDS_TOUCHED: canvas_telemetry::Counter =
+static FDS_WORDS_TOUCHED: canvas_telemetry::Counter =
     canvas_telemetry::Counter::new("fds.words_touched");
 static FDS_SOLVE_TIME: canvas_telemetry::Timer = canvas_telemetry::Timer::new("fds.solve");
 
@@ -56,10 +56,6 @@ pub struct FdsResult {
 }
 
 impl FdsResult {
-    pub(crate) fn new(arena: WordArena, edge_visits: usize, worklist_pops: usize) -> FdsResult {
-        FdsResult { arena, edge_visits, worklist_pops }
-    }
-
     /// Whether predicate `p` may be 1 at `node`.
     #[inline]
     pub fn get(&self, node: usize, p: usize) -> bool {
@@ -143,10 +139,12 @@ pub fn solve(
     gov: &Meter,
     trace: bool,
 ) -> Result<(FdsResult, Option<Provenance>), Exhaustion> {
+    let _span = FDS_SOLVE_TIME.span();
+    let start = Start::cold(bp);
     if trace {
-        analyze_inner::<true>(bp, gov).map(|(res, prov)| (res, Some(prov)))
+        analyze_inner::<true>(bp, gov, start, "fds.fixpoint").map(|(res, prov)| (res, Some(prov)))
     } else {
-        analyze_inner::<false>(bp, gov).map(|(res, _)| (res, None))
+        analyze_inner::<false>(bp, gov, start, "fds.fixpoint").map(|(res, _)| (res, None))
     }
 }
 
@@ -179,7 +177,7 @@ struct DynAssign {
 /// streams — on iterative (loopy) programs every edge is visited many
 /// times, so the one-pass build amortizes immediately. Five allocations
 /// total, regardless of program size.
-pub(crate) struct TransferPlan {
+struct TransferPlan {
     word_range: Vec<(u32, u32)>,
     dyn_range: Vec<(u32, u32)>,
     words: Vec<PatchWord>,
@@ -191,7 +189,7 @@ impl TransferPlan {
     /// Builds the plan in one pass over the edges. Assumes the parallel
     /// assignment of an edge targets each predicate at most once (the
     /// transform emits true parallel assignments).
-    pub(crate) fn build(edges: &[BoolEdge]) -> TransferPlan {
+    fn build(edges: &[BoolEdge]) -> TransferPlan {
         let mut plan = TransferPlan {
             word_range: Vec::with_capacity(edges.len()),
             dyn_range: Vec::with_capacity(edges.len()),
@@ -259,7 +257,7 @@ impl TransferPlan {
 /// assignment size)`, not `O(row)`.
 #[inline]
 #[allow(clippy::too_many_arguments)] // the kernel's full working set, passed split-borrowed
-pub(crate) fn apply_edge(
+fn apply_edge(
     arena: &mut WordArena,
     ek: usize,
     e: &BoolEdge,
@@ -342,19 +340,24 @@ pub(crate) fn apply_edge(
     grew
 }
 
-/// The out-edge adjacency in CSR form: `idx[start[v]..start[v + 1]]` are
-/// the edge indices leaving `v`, in edge-list order (stable counting
-/// sort), matching the order a `Vec<Vec<_>>` push-build would yield.
-pub(crate) fn csr_out_edges(n: usize, edges: &[BoolEdge]) -> (Vec<u32>, Vec<u32>) {
+/// The out-edge adjacency in CSR form over the edges `keep` admits:
+/// `idx[start[v]..start[v + 1]]` are the indices (into `edges`) of the kept
+/// edges leaving `v`, in edge-list order (stable counting sort), matching
+/// the order a `Vec<Vec<_>>` push-build would yield.
+pub(crate) fn csr_out_edges(
+    n: usize,
+    edges: &[BoolEdge],
+    keep: impl Fn(&BoolEdge) -> bool,
+) -> (Vec<u32>, Vec<u32>) {
     let mut start = vec![0u32; n + 2];
-    for e in edges {
+    for e in edges.iter().filter(|e| keep(e)) {
         start[e.from + 2] += 1;
     }
     for i in 2..start.len() {
         start[i] += start[i - 1];
     }
-    let mut idx = vec![0u32; edges.len()];
-    for (k, e) in edges.iter().enumerate() {
+    let mut idx = vec![0u32; start[n + 1] as usize];
+    for (k, e) in edges.iter().enumerate().filter(|(_, e)| keep(e)) {
         idx[start[e.from + 1] as usize] = k as u32;
         start[e.from + 1] += 1;
     }
@@ -362,53 +365,110 @@ pub(crate) fn csr_out_edges(n: usize, edges: &[BoolEdge]) -> (Vec<u32>, Vec<u32>
     (start, idx)
 }
 
-/// Marks every nonzero word of `node`'s row dirty — the state a node must
-/// be in before its *first* pop, so the pop propagates the whole row
-/// (zero words contribute nothing under an OR-join and can stay clean).
-pub(crate) fn mark_row_dirty(arena: &WordArena, dirty: &mut [u64], mw: usize, node: usize) {
-    for (w, &val) in arena.row(node).iter().enumerate() {
-        if val != 0 {
-            dirty[node * mw + w / 64] |= 1 << (w % 64);
-        }
+/// The indices of the edges leaving `node` in a [`csr_out_edges`] index.
+pub(crate) fn out_of(
+    (start, idx): &(Vec<u32>, Vec<u32>),
+    node: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    idx[start[node] as usize..start[node + 1] as usize].iter().map(|&k| k as usize)
+}
+
+/// The value an assignment's right-hand side gives its target, reading
+/// source bits through `get`: `Havoc` may be 1, a disjunction is 1 when
+/// any operand is. The dataflow solvers' one evaluator; only
+/// [`analyze_reference`] and the trusted checker (`canvas-check`) keep
+/// their own, on purpose: they are the differential oracle and the
+/// trusted base, so a bug in a shared evaluator would pass both sides.
+pub(crate) fn eval_rhs(rhs: &Rhs, get: impl Fn(usize) -> bool) -> bool {
+    match rhs {
+        Rhs::Havoc => true,
+        Rhs::Disj(ops) => ops.iter().any(|op| match *op {
+            Operand::Const(c) => c,
+            Operand::Var(v) => get(v),
+        }),
     }
 }
 
-fn analyze_inner<const TRACE: bool>(
+/// The scalar image of edge `e` over the word row `src`, written into
+/// `out`: `src` with every assigned bit overwritten by its right-hand side,
+/// all read against the pre-state (a parallel assignment).
+pub(crate) fn edge_image(e: &BoolEdge, src: &[u64], out: &mut [u64]) {
+    out.copy_from_slice(src);
+    for (dst, rhs) in &e.assigns {
+        word_set(out, *dst, eval_rhs(rhs, |v| word_get(src, v)));
+    }
+}
+
+/// Where the kernel starts. A cold solve ([`Start::cold`]) starts from the
+/// entry seed at `{entry}` over every edge; a delta re-solve
+/// ([`crate::delta`]) starts from carried rows, its boundary worklist and
+/// only the edges with an affected endpoint. Everything after the start is
+/// the one kernel, [`analyze_inner`].
+pub(crate) struct Start {
+    /// The initial per-node rows.
+    pub(crate) arena: WordArena,
+    /// The initial worklist, popped last first. Each entry's first pop
+    /// propagates its whole row.
+    pub(crate) work: Vec<usize>,
+    /// Nodes already reached: a first visit to any other node enqueues it.
+    pub(crate) reached: Vec<bool>,
+    /// The out-edges the kernel may visit, from [`csr_out_edges`].
+    pub(crate) out: (Vec<u32>, Vec<u32>),
+}
+
+impl Start {
+    /// ⊥ everywhere but the entry-unknown seed, only the entry reached and
+    /// on the worklist, every edge visitable.
+    fn cold(bp: &BoolProgram) -> Start {
+        let mut arena = WordArena::new(bp.node_count, bp.preds.len());
+        for &k in &bp.entry_unknown {
+            arena.set(bp.entry, k, true);
+        }
+        let mut reached = vec![false; bp.node_count];
+        reached[bp.entry] = true;
+        // index edges by source for the worklist: CSR, not Vec-of-Vecs —
+        // three allocations total, and the stable counting sort keeps the
+        // per-node edge order identical to the push order the reference
+        // kernel uses (the differential tests pin the visit sequence)
+        let out = csr_out_edges(bp.node_count, &bp.edges, |_| true);
+        Start { arena, work: vec![bp.entry], reached, out }
+    }
+}
+
+/// The FDS fixpoint kernel: runs the worklist from `start` to fixpoint,
+/// one meter tick per edge visit, and publishes the `fds.*` work counters
+/// and a `label` trace instant. `TRACE` records provenance on a
+/// materialized image row instead of the delta-driven [`apply_edge`].
+pub(crate) fn analyze_inner<const TRACE: bool>(
     bp: &BoolProgram,
     gov: &Meter,
+    start: Start,
+    label: &'static str,
 ) -> Result<(FdsResult, Provenance), Exhaustion> {
-    let _span = FDS_SOLVE_TIME.span();
     let n = bp.node_count;
-    let width = bp.preds.len();
-    let mut prov = if TRACE { Provenance::new(n, width) } else { Provenance::empty() };
-    let mut arena = WordArena::new(n, width);
-    for &k in &bp.entry_unknown {
-        arena.set(bp.entry, k, true);
-    }
-
-    // index edges by source for the worklist: CSR, not Vec-of-Vecs —
-    // three allocations total, and the stable counting sort keeps the
-    // per-node edge order identical to the push order the reference
-    // kernel uses (the differential tests pin the visit sequence)
-    let (out_start, out_idx) = csr_out_edges(n, &bp.edges);
-
+    let Start { mut arena, mut work, mut reached, out } = start;
+    let mut prov = if TRACE { Provenance::new(n, bp.preds.len()) } else { Provenance::empty() };
     let stride = arena.stride();
     let plan = TransferPlan::build(&bp.edges);
     let mut vals: Vec<u64> = Vec::new();
     let mut scratch = vec![0u64; if TRACE { stride } else { 0 }];
-    // per-node dirty-word bitmaps driving the delta propagation; only the
-    // entry's seed words are nonzero before the first pop
+    // per-node dirty-word bitmaps driving the delta propagation; before
+    // its first pop a start node has every nonzero word of its row dirty
+    // (zero words contribute nothing under an OR-join and stay clean)
     let mw = stride.div_ceil(64).max(1);
     let mut dirty: Vec<u64> = vec![0; if TRACE { 0 } else { n * mw }];
     let mut pop_mask: Vec<u64> = vec![0; mw];
-    if !TRACE {
-        mark_row_dirty(&arena, &mut dirty, mw, bp.entry);
-    }
-    let mut work: Vec<usize> = vec![bp.entry];
     let mut on_work = vec![false; n];
-    let mut reached = vec![false; n];
-    on_work[bp.entry] = true;
-    reached[bp.entry] = true;
+    for &node in &work {
+        on_work[node] = true;
+        if !TRACE {
+            for (w, &val) in arena.row(node).iter().enumerate() {
+                if val != 0 {
+                    dirty[node * mw + w / 64] |= 1 << (w % 64);
+                }
+            }
+        }
+    }
     let mut edge_visits = 0;
     let mut pops = 0u64;
     while let Some(node) = work.pop() {
@@ -420,8 +480,7 @@ fn analyze_inner<const TRACE: bool>(
             pop_mask.copy_from_slice(&dirty[node * mw..(node + 1) * mw]);
             dirty[node * mw..(node + 1) * mw].fill(0);
         }
-        for &ek in &out_idx[out_start[node] as usize..out_start[node + 1] as usize] {
-            let ek = ek as usize;
+        for ek in out_of(&out, node) {
             let e = &bp.edges[ek];
             edge_visits += 1;
             if let Err(ex) = gov.tick() {
@@ -433,28 +492,8 @@ fn analyze_inner<const TRACE: bool>(
             let grew = if TRACE {
                 // the traced path materializes the image row so new facts
                 // can be diffed out for provenance; explain-mode only
-                scratch.copy_from_slice(arena.row(e.from));
-                for (dst, rhs) in &e.assigns {
-                    let bit = match rhs {
-                        Rhs::Havoc => true,
-                        Rhs::Disj(ops) => ops.iter().any(|op| match op {
-                            Operand::Const(c) => *c,
-                            Operand::Var(v) => word_get(arena.row(e.from), *v),
-                        }),
-                    };
-                    word_set(&mut scratch, *dst, bit);
-                }
-                let target = arena.row(e.to);
-                let source = arena.row(e.from);
-                for w in 0..stride {
-                    let mut news = scratch[w] & !target[w];
-                    while news != 0 {
-                        let p = w * 64 + news.trailing_zeros() as usize;
-                        news &= news - 1;
-                        let src = justify(e, p, |q| word_get(source, q));
-                        prov.record(e.to, p, ek, src);
-                    }
-                }
+                edge_image(e, arena.row(e.from), &mut scratch);
+                prov.record_new(e, ek, &scratch, arena.row(e.to), arena.row(e.from));
                 arena.union_row(e.to, &scratch)
             } else {
                 apply_edge(&mut arena, ek, e, &plan, &mut vals, &pop_mask, &mut dirty, mw)
@@ -474,11 +513,11 @@ fn analyze_inner<const TRACE: bool>(
     // wall-clock measures that win against this fixed denominator
     FDS_WORDS_TOUCHED.add(2 * stride as u64 * edge_visits as u64);
     canvas_telemetry::trace::instant(
-        "fds.fixpoint",
+        label,
         "solver",
         &[("edge_visits", edge_visits as u64), ("worklist_pops", pops)],
     );
-    Ok((FdsResult::new(arena, edge_visits, pops as usize), prov))
+    Ok((FdsResult { arena, edge_visits, worklist_pops: pops as usize }, prov))
 }
 
 /// The pre-rewrite scalar solver: one heap-allocated [`BitSet`] per node,
@@ -487,7 +526,9 @@ fn analyze_inner<const TRACE: bool>(
 /// kernel's fixpoint on random boolean programs, and the `eval fixpoint`
 /// table (E12) reports the bit-parallel kernel's throughput against it.
 /// Ungoverned and untraced; publishes no `fds.*` telemetry (it is a
-/// yardstick, not a production path).
+/// yardstick, not a production path). It evaluates right-hand sides
+/// itself rather than through [`eval_rhs`]: as the differential oracle it
+/// must not share a bug with the kernel it checks.
 pub fn analyze_reference(bp: &BoolProgram) -> ScalarResult {
     let n = bp.node_count;
     let width = bp.preds.len();
@@ -548,8 +589,18 @@ pub fn violations(
     may_one: impl Fn(usize, usize) -> bool,
     witnesses: Option<(&Provenance, &Program, &Derived)>,
 ) -> Vec<Violation> {
+    violations_at(bp, |_| true, may_one, witnesses)
+}
+
+/// [`violations`] of the checks whose node `checked` admits.
+pub(crate) fn violations_at(
+    bp: &BoolProgram,
+    checked: impl Fn(usize) -> bool,
+    may_one: impl Fn(usize, usize) -> bool,
+    witnesses: Option<(&Provenance, &Program, &Derived)>,
+) -> Vec<Violation> {
     let mut out = Vec::new();
-    for c in &bp.checks {
+    for c in bp.checks.iter().filter(|c| checked(c.node)) {
         let mut culprits = Vec::new();
         let mut fires = false;
         for op in &c.preds {

@@ -47,7 +47,7 @@ use canvas_wp::Derived;
 use canvas_faults::{Exhaustion, Meter};
 
 use crate::bitset::BitSet;
-use crate::fds::Violation;
+use crate::fds::{csr_out_edges, edge_image, out_of, Violation};
 use crate::provenance::{justify, Provenance};
 
 static INTERPROC_ANALYSES: canvas_telemetry::Counter =
@@ -305,10 +305,7 @@ impl Ctx<'_> {
         }
         state[bp.entry] = Some(entry_state);
 
-        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); nodes];
-        for (k, e) in bp.edges.iter().enumerate() {
-            out_edges[e.from].push(k);
-        }
+        let out_edges = csr_out_edges(nodes, &bp.edges, |_| true);
         let mut work = vec![bp.entry];
         let mut on_work = vec![false; nodes];
         on_work[bp.entry] = true;
@@ -316,7 +313,7 @@ impl Ctx<'_> {
             gov.tick()?;
             on_work[node] = false;
             let Some(cur) = state[node].clone() else { continue };
-            for &ek in &out_edges[node] {
+            for ek in out_of(&out_edges, node) {
                 let e = &bp.edges[ek];
                 let out = self.transfer_sets(m, ek, &cur, summaries);
                 let changed = match &mut state[e.to] {
@@ -590,10 +587,7 @@ impl Ctx<'_> {
             if explain { Provenance::new(nodes, bp.preds.len()) } else { Provenance::empty() };
         let mut state: Vec<Option<BitSet>> = vec![None; nodes];
         state[bp.entry] = Some(entry.clone());
-        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); nodes];
-        for (k, e) in bp.edges.iter().enumerate() {
-            out_edges[e.from].push(k);
-        }
+        let out_edges = csr_out_edges(nodes, &bp.edges, |_| true);
         let mut work = vec![bp.entry];
         let mut on_work = vec![false; nodes];
         on_work[bp.entry] = true;
@@ -601,7 +595,7 @@ impl Ctx<'_> {
             gov.tick()?;
             on_work[node] = false;
             let Some(cur) = state[node].clone() else { continue };
-            for &ek in &out_edges[node] {
+            for ek in out_of(&out_edges, node) {
                 let e = &bp.edges[ek];
                 let out = self.transfer_concrete(m, ek, &cur, summaries);
                 if explain {
@@ -625,32 +619,13 @@ impl Ctx<'_> {
                 }
             }
         }
-        // checks
-        let mut viols = Vec::new();
-        for c in &bp.checks {
-            let Some(s) = &state[c.node] else { continue };
-            let mut culprits = Vec::new();
-            let mut fires = false;
-            for op in &c.preds {
-                match op {
-                    Operand::Const(true) => fires = true,
-                    Operand::Const(false) => {}
-                    Operand::Var(v) => {
-                        if s.get(*v) {
-                            fires = true;
-                            culprits.push(*v);
-                        }
-                    }
-                }
-            }
-            if fires {
-                let witness = explain.then(|| match culprits.first() {
-                    Some(&p) => prov.trace(bp, &self.program, derived, c.node, p),
-                    None => Vec::new(),
-                });
-                viols.push(Violation { site: c.site.clone(), culprits, witness });
-            }
-        }
+        // checks, at the nodes the pass reached
+        let viols = crate::fds::violations_at(
+            bp,
+            |node| state[node].is_some(),
+            |node, p| state[node].as_ref().is_some_and(|s| s.get(p)),
+            explain.then_some((&prov, &self.program, derived)),
+        );
         Ok((state, viols))
     }
 
@@ -710,17 +685,8 @@ impl Ctx<'_> {
             }
             return out;
         }
-        let mut out = cur.clone();
-        for (dst, rhs) in &bp.edges[ek].assigns {
-            let bit = match rhs {
-                Rhs::Havoc => true,
-                Rhs::Disj(ops) => ops.iter().any(|op| match op {
-                    Operand::Const(c) => *c,
-                    Operand::Var(v) => cur.get(*v),
-                }),
-            };
-            out.set(*dst, bit);
-        }
+        let mut out = BitSet::new(cur.len());
+        edge_image(&bp.edges[ek], cur.words(), out.words_mut());
         out
     }
 

@@ -17,6 +17,8 @@ use canvas_abstraction::{BoolEdge, BoolProgram, Operand, Rhs};
 use canvas_minijava::{MethodId, Program};
 use canvas_wp::Derived;
 
+use crate::soa::word_get;
+
 /// Why a fact first became true at a node.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Just {
@@ -82,6 +84,27 @@ impl Provenance {
         let slot = &mut self.just[node * self.width + pred];
         if slot.is_none() {
             *slot = Some(Just { edge: edge as u32, src: src.map(|s| s as u32) });
+        }
+    }
+
+    /// Records every fact the row `image` holds and the row `known` lacks
+    /// as set at edge `e`'s target by that edge (index `ek`), justified
+    /// against the pre-state row `src`.
+    pub(crate) fn record_new(
+        &mut self,
+        e: &BoolEdge,
+        ek: usize,
+        image: &[u64],
+        known: &[u64],
+        src: &[u64],
+    ) {
+        for (w, (&i, &k)) in image.iter().zip(known).enumerate() {
+            let mut news = i & !k;
+            while news != 0 {
+                let p = w * 64 + news.trailing_zeros() as usize;
+                news &= news - 1;
+                self.record(e.to, p, ek, justify(e, p, |q| word_get(src, q)));
+            }
         }
     }
 

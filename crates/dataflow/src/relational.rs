@@ -15,12 +15,13 @@
 //! states as a canonically sorted `Vec<BitSet>`, which also makes
 //! downstream output (the fig. 8 state dumps) deterministic.
 
-use canvas_abstraction::{BoolProgram, Operand, Rhs};
+use canvas_abstraction::{BoolProgram, Rhs};
 use canvas_faults::{Exhaustion, Meter};
 
 use crate::bitset::BitSet;
-use crate::provenance::{justify, Provenance};
-use crate::soa::{word_get, word_set, SmallIdVec, ValPool};
+use crate::fds::{csr_out_edges, eval_rhs, out_of};
+use crate::provenance::Provenance;
+use crate::soa::{or_into, word_get, word_set, SmallIdVec, ValPool};
 
 static REL_WORKLIST_POPS: canvas_telemetry::Counter =
     canvas_telemetry::Counter::new("relational.worklist_pops");
@@ -133,7 +134,7 @@ fn analyze_inner<const TRACE: bool>(
     let mut states: Vec<SmallIdVec> = vec![SmallIdVec::new(); n];
     // provenance over the may-union of each node's valuation set
     let mut prov = if TRACE { Provenance::new(n, width) } else { Provenance::empty() };
-    let mut may: Vec<BitSet> = if TRACE { vec![BitSet::new(width); n] } else { Vec::new() };
+    let mut may: Vec<Vec<u64>> = if TRACE { vec![vec![0; stride]; n] } else { Vec::new() };
 
     // entry states: all combinations of the unknown bits
     let mut entry_rows: Vec<Vec<u64>> = vec![vec![0u64; stride]];
@@ -156,14 +157,11 @@ fn analyze_inner<const TRACE: bool>(
     if TRACE {
         // entry facts carry no justification: witness chains stop there
         for &k in &bp.entry_unknown {
-            may[bp.entry].set(k, true);
+            word_set(&mut may[bp.entry], k, true);
         }
     }
 
-    let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (k, e) in bp.edges.iter().enumerate() {
-        out_edges[e.from].push(k);
-    }
+    let out_edges = csr_out_edges(n, &bp.edges, |_| true);
 
     // scratch valuation rows, reused across transfers (Havoc forks append)
     let mut outs: Vec<Vec<u64>> = Vec::new();
@@ -174,7 +172,7 @@ fn analyze_inner<const TRACE: bool>(
     while let Some(node) = work.pop() {
         tally.pops += 1;
         on_work[node] = false;
-        for &ek in &out_edges[node] {
+        for ek in out_of(&out_edges, node) {
             let e = &bp.edges[ek];
             new_ids.clear();
             for &sid in states[e.from].as_slice() {
@@ -185,12 +183,9 @@ fn analyze_inner<const TRACE: bool>(
                 outs.push(pool.row(sid).to_vec());
                 for (dst, rhs) in &e.assigns {
                     match rhs {
-                        Rhs::Disj(ops) => {
+                        Rhs::Disj(_) => {
                             let src_row = pool.row(sid);
-                            let bit = ops.iter().any(|op| match op {
-                                Operand::Const(c) => *c,
-                                Operand::Var(v) => word_get(src_row, *v),
-                            });
+                            let bit = eval_rhs(rhs, |v| word_get(src_row, v));
                             for o in &mut outs {
                                 word_set(o, *dst, bit);
                             }
@@ -214,24 +209,9 @@ fn analyze_inner<const TRACE: bool>(
                     }
                 }
                 if TRACE {
-                    let src_row = pool.row(sid).to_vec();
                     for o in &outs {
-                        for (w, &ow) in o.iter().enumerate().take(stride) {
-                            let mut bits = ow;
-                            while bits != 0 {
-                                let p = w * 64 + bits.trailing_zeros() as usize;
-                                bits &= bits - 1;
-                                if p < width && !may[e.to].get(p) {
-                                    may[e.to].set(p, true);
-                                    prov.record(
-                                        e.to,
-                                        p,
-                                        ek,
-                                        justify(e, p, |q| word_get(&src_row, q)),
-                                    );
-                                }
-                            }
-                        }
+                        prov.record_new(e, ek, o, &may[e.to], pool.row(sid));
+                        or_into(&mut may[e.to], o);
                     }
                 }
                 for o in &outs {

@@ -324,11 +324,6 @@ impl ValPool {
         self.index.entry(hash).or_default().push(id);
         id
     }
-
-    /// The interned valuation for `id` as a standalone [`BitSet`].
-    pub fn bitset(&self, id: u32) -> BitSet {
-        BitSet::from_row(self.row(id), self.width)
-    }
 }
 
 #[cfg(test)]
@@ -380,6 +375,9 @@ mod tests {
         assert_ne!(ia, ib);
         assert_eq!(pool.intern(&a), ia);
         assert_eq!(pool.len(), 2);
-        assert_eq!(pool.bitset(ib).iter_ones().collect::<Vec<_>>(), vec![0, 1, 65]);
+        assert_eq!(
+            BitSet::from_row(pool.row(ib), 70).iter_ones().collect::<Vec<_>>(),
+            vec![0, 1, 65]
+        );
     }
 }

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use canvas_core::{CanvasError, Certifier, Engine, Verdict};
+use canvas_core::{panic_message, CanvasError, Certifier, Engine, Verdict};
 use canvas_easl::Spec;
 use canvas_faults::Fault;
 use canvas_incr::fingerprint::{Fingerprint, Hasher64};
@@ -114,16 +114,6 @@ struct ShardState {
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic (non-string payload)".to_string()
-    }
 }
 
 /// Claims the next unprocessed index: own partition first, then steal
@@ -416,7 +406,9 @@ pub fn run_fleet(items: &[FleetItem], cfg: &FleetConfig) -> Result<FleetReport, 
                                 state.delta_seeded.fetch_add(stats.delta_seeded, Ordering::Relaxed);
                                 outcome
                             }
-                            Err(payload) => Outcome::Poisoned { message: panic_message(payload) },
+                            Err(payload) => {
+                                Outcome::Poisoned { message: panic_message(payload.as_ref()) }
+                            }
                         };
                         if matches!(outcome, Outcome::Poisoned { .. }) {
                             state.poisoned.fetch_add(1, Ordering::Relaxed);

@@ -214,195 +214,215 @@ impl ServeMetrics {
     pub fn prometheus(&self, cache: &CertCache) -> String {
         let mut out = String::with_capacity(4096);
         let secs = |ns: u64| ns as f64 / 1e9;
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_uptime_seconds Seconds since the serve loop started."
+        let o = &mut out;
+        family(
+            o,
+            "canvas_serve_uptime_seconds",
+            "gauge",
+            "Seconds since the serve loop started.",
+            format_args!("{:.3}", self.started.elapsed().as_secs_f64()),
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_uptime_seconds gauge");
-        let _ = writeln!(
-            out,
-            "canvas_serve_uptime_seconds {:.3}",
-            self.started.elapsed().as_secs_f64()
+        family(o, "canvas_serve_workers", "gauge", "Configured worker-pool size.", self.workers);
+        family(
+            o,
+            "canvas_serve_workers_busy",
+            "gauge",
+            "Workers currently handling a request.",
+            self.busy(),
         );
-        let _ = writeln!(out, "# HELP canvas_serve_workers Configured worker-pool size.");
-        let _ = writeln!(out, "# TYPE canvas_serve_workers gauge");
-        let _ = writeln!(out, "canvas_serve_workers {}", self.workers);
-        let _ =
-            writeln!(out, "# HELP canvas_serve_workers_busy Workers currently handling a request.");
-        let _ = writeln!(out, "# TYPE canvas_serve_workers_busy gauge");
-        let _ = writeln!(out, "canvas_serve_workers_busy {}", self.busy());
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_queue_depth Requests accepted but not yet answered."
+        family(
+            o,
+            "canvas_serve_queue_depth",
+            "gauge",
+            "Requests accepted but not yet answered.",
+            self.queue_depth(),
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_queue_depth gauge");
-        let _ = writeln!(out, "canvas_serve_queue_depth {}", self.queue_depth());
-        let _ =
-            writeln!(out, "# HELP canvas_serve_queue_capacity Bounded admission queue capacity.");
-        let _ = writeln!(out, "# TYPE canvas_serve_queue_capacity gauge");
-        let _ = writeln!(out, "canvas_serve_queue_capacity {}", self.queue_cap);
-        let _ = writeln!(out, "# HELP canvas_serve_requests_total Requests handled, by verb.");
-        let _ = writeln!(out, "# TYPE canvas_serve_requests_total counter");
+        family(
+            o,
+            "canvas_serve_queue_capacity",
+            "gauge",
+            "Bounded admission queue capacity.",
+            self.queue_cap,
+        );
+        header(o, "canvas_serve_requests_total", "counter", "Requests handled, by verb.");
         for (name, v) in VERBS.iter().zip(&self.verbs) {
-            let _ = writeln!(
-                out,
-                "canvas_serve_requests_total{{verb=\"{name}\"}} {}",
-                v.requests.load(Ordering::Relaxed)
-            );
+            let n = v.requests.load(Ordering::Relaxed);
+            let _ = writeln!(o, "canvas_serve_requests_total{{verb=\"{name}\"}} {n}");
         }
-        let _ =
-            writeln!(out, "# HELP canvas_serve_errors_total Requests answered ok=false, by verb.");
-        let _ = writeln!(out, "# TYPE canvas_serve_errors_total counter");
+        header(o, "canvas_serve_errors_total", "counter", "Requests answered ok=false, by verb.");
         for (name, v) in VERBS.iter().zip(&self.verbs) {
-            let _ = writeln!(
-                out,
-                "canvas_serve_errors_total{{verb=\"{name}\"}} {}",
-                v.errors.load(Ordering::Relaxed)
-            );
+            let n = v.errors.load(Ordering::Relaxed);
+            let _ = writeln!(o, "canvas_serve_errors_total{{verb=\"{name}\"}} {n}");
         }
-        let _ = writeln!(out, "# HELP canvas_serve_request_latency_seconds Request latency summary, by verb (log2-histogram quantile estimates).");
-        let _ = writeln!(out, "# TYPE canvas_serve_request_latency_seconds summary");
+        header(
+            o,
+            "canvas_serve_request_latency_seconds",
+            "summary",
+            "Request latency summary, by verb (log2-histogram quantile estimates).",
+        );
         for (name, v) in VERBS.iter().zip(&self.verbs) {
             let s = v.latency.stat();
             for (q, est) in [("0.5", s.p50), ("0.9", s.p90), ("0.99", s.p99)] {
                 let _ = writeln!(
-                    out,
+                    o,
                     "canvas_serve_request_latency_seconds{{verb=\"{name}\",quantile=\"{q}\"}} {:.9}",
                     secs(est)
                 );
             }
             let _ = writeln!(
-                out,
+                o,
                 "canvas_serve_request_latency_seconds_sum{{verb=\"{name}\"}} {:.9}",
                 secs(s.sum)
             );
             let _ = writeln!(
-                out,
+                o,
                 "canvas_serve_request_latency_seconds_count{{verb=\"{name}\"}} {}",
                 s.count
             );
         }
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_inconclusive_total Certify requests that ended inconclusive."
+        family(
+            o,
+            "canvas_serve_inconclusive_total",
+            "counter",
+            "Certify requests that ended inconclusive.",
+            self.inconclusive.load(Ordering::Relaxed),
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_inconclusive_total counter");
-        let _ = writeln!(
-            out,
-            "canvas_serve_inconclusive_total {}",
-            self.inconclusive.load(Ordering::Relaxed)
+        family(
+            o,
+            "canvas_serve_delta_seeded_total",
+            "counter",
+            "Cells re-solved from a stale fixpoint seed.",
+            self.delta_seeded.load(Ordering::Relaxed),
         );
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_delta_seeded_total Cells re-solved from a stale fixpoint seed."
+        family(
+            o,
+            "canvas_serve_shed_total",
+            "counter",
+            "Certify requests shed at admission (queue full or tenant budget exhausted).",
+            self.shed_total(),
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_delta_seeded_total counter");
-        let _ = writeln!(
-            out,
-            "canvas_serve_delta_seeded_total {}",
-            self.delta_seeded.load(Ordering::Relaxed)
+        family(
+            o,
+            "canvas_serve_deadline_total",
+            "counter",
+            "Admitted certify requests shed at pickup on an expired deadline.",
+            self.deadline_shed_total(),
         );
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_shed_total Certify requests shed at admission (queue full or tenant budget exhausted)."
+        family(
+            o,
+            "canvas_serve_connections_open",
+            "gauge",
+            "Client connections currently open.",
+            self.conns_open(),
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_shed_total counter");
-        let _ = writeln!(out, "canvas_serve_shed_total {}", self.shed_total());
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_deadline_total Admitted certify requests shed at pickup on an expired deadline."
+        family(
+            o,
+            "canvas_serve_connections_poisoned_total",
+            "counter",
+            "Connections poisoned by a failed or timed-out write.",
+            self.conns_poisoned(),
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_deadline_total counter");
-        let _ = writeln!(out, "canvas_serve_deadline_total {}", self.deadline_shed_total());
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_connections_open Client connections currently open."
-        );
-        let _ = writeln!(out, "# TYPE canvas_serve_connections_open gauge");
-        let _ = writeln!(out, "canvas_serve_connections_open {}", self.conns_open());
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_connections_poisoned_total Connections poisoned by a failed or timed-out write."
-        );
-        let _ = writeln!(out, "# TYPE canvas_serve_connections_poisoned_total counter");
-        let _ = writeln!(out, "canvas_serve_connections_poisoned_total {}", self.conns_poisoned());
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_requests_poisoned_total Handler panics contained to their request."
-        );
-        let _ = writeln!(out, "# TYPE canvas_serve_requests_poisoned_total counter");
-        let _ = writeln!(
-            out,
-            "canvas_serve_requests_poisoned_total {}",
-            self.requests_poisoned.load(Ordering::Relaxed)
+        family(
+            o,
+            "canvas_serve_requests_poisoned_total",
+            "counter",
+            "Handler panics contained to their request.",
+            self.requests_poisoned.load(Ordering::Relaxed),
         );
         let stats = cache.stats();
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_cache_hits_total Cells answered from the certificate store."
+        family(
+            o,
+            "canvas_serve_cache_hits_total",
+            "counter",
+            "Cells answered from the certificate store.",
+            stats.hits,
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_cache_hits_total counter");
-        let _ = writeln!(out, "canvas_serve_cache_hits_total {}", stats.hits);
-        let _ = writeln!(out, "# HELP canvas_serve_cache_misses_total Cells that ran fresh.");
-        let _ = writeln!(out, "# TYPE canvas_serve_cache_misses_total counter");
-        let _ = writeln!(out, "canvas_serve_cache_misses_total {}", stats.misses);
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_cache_stores_total Certificates written to the store."
+        family(
+            o,
+            "canvas_serve_cache_misses_total",
+            "counter",
+            "Cells that ran fresh.",
+            stats.misses,
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_cache_stores_total counter");
-        let _ = writeln!(out, "canvas_serve_cache_stores_total {}", stats.stores);
-        let _ = writeln!(out, "# HELP canvas_serve_cache_invalidations_total Stale entries displaced by a changed key.");
-        let _ = writeln!(out, "# TYPE canvas_serve_cache_invalidations_total counter");
-        let _ = writeln!(out, "canvas_serve_cache_invalidations_total {}", stats.invalidations);
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_cache_entries Certificates currently resident in the store."
+        family(
+            o,
+            "canvas_serve_cache_stores_total",
+            "counter",
+            "Certificates written to the store.",
+            stats.stores,
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_cache_entries gauge");
-        let _ = writeln!(out, "canvas_serve_cache_entries {}", cache.len());
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_cache_evictions_total Hot-tier certificates evicted by the byte budget."
+        family(
+            o,
+            "canvas_serve_cache_invalidations_total",
+            "counter",
+            "Stale entries displaced by a changed key.",
+            stats.invalidations,
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_cache_evictions_total counter");
-        let _ = writeln!(out, "canvas_serve_cache_evictions_total {}", stats.evictions);
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_cache_spill_hits_total Lookups answered from the spill tier after a hot-tier eviction."
+        family(
+            o,
+            "canvas_serve_cache_entries",
+            "gauge",
+            "Certificates currently resident in the store.",
+            cache.len(),
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_cache_spill_hits_total counter");
-        let _ = writeln!(out, "canvas_serve_cache_spill_hits_total {}", stats.spill_hits);
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_cache_bytes Byte occupancy of the hot in-memory certificate tier."
+        family(
+            o,
+            "canvas_serve_cache_evictions_total",
+            "counter",
+            "Hot-tier certificates evicted by the byte budget.",
+            stats.evictions,
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_cache_bytes gauge");
-        let _ = writeln!(out, "canvas_serve_cache_bytes {}", cache.memory_bytes());
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_cache_budget_bytes Configured hot-tier byte budget (0 = unbounded)."
+        family(
+            o,
+            "canvas_serve_cache_spill_hits_total",
+            "counter",
+            "Lookups answered from the spill tier after a hot-tier eviction.",
+            stats.spill_hits,
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_cache_budget_bytes gauge");
-        let _ =
-            writeln!(out, "canvas_serve_cache_budget_bytes {}", cache.budget_bytes().unwrap_or(0));
-        let _ = writeln!(
-            out,
-            "# HELP canvas_serve_cache_hit_ratio Hits over lookups since the store opened."
+        family(
+            o,
+            "canvas_serve_cache_bytes",
+            "gauge",
+            "Byte occupancy of the hot in-memory certificate tier.",
+            cache.memory_bytes(),
         );
-        let _ = writeln!(out, "# TYPE canvas_serve_cache_hit_ratio gauge");
+        family(
+            o,
+            "canvas_serve_cache_budget_bytes",
+            "gauge",
+            "Configured hot-tier byte budget (0 = unbounded).",
+            cache.budget_bytes().unwrap_or(0),
+        );
         let lookups = stats.hits + stats.misses;
         let ratio = if lookups == 0 { 0.0 } else { stats.hits as f64 / lookups as f64 };
-        let _ = writeln!(out, "canvas_serve_cache_hit_ratio {ratio:.4}");
-        let _ = writeln!(out, "# HELP canvas_serve_log_events_dropped_total Structured-log records dropped from the ring buffer.");
-        let _ = writeln!(out, "# TYPE canvas_serve_log_events_dropped_total counter");
-        let _ = writeln!(
-            out,
-            "canvas_serve_log_events_dropped_total {}",
-            canvas_telemetry::events::dropped()
+        family(
+            o,
+            "canvas_serve_cache_hit_ratio",
+            "gauge",
+            "Hits over lookups since the store opened.",
+            format_args!("{ratio:.4}"),
+        );
+        family(
+            o,
+            "canvas_serve_log_events_dropped_total",
+            "counter",
+            "Structured-log records dropped from the ring buffer.",
+            canvas_telemetry::events::dropped(),
         );
         out
     }
+}
+
+/// Writes a metric family's `# HELP` and `# TYPE` lines.
+fn header(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// Writes a single-value metric family: its header and its one sample.
+fn family(out: &mut String, name: &str, kind: &str, help: &str, value: impl std::fmt::Display) {
+    header(out, name, kind, help);
+    let _ = writeln!(out, "{name} {value}");
 }
 
 #[cfg(test)]
@@ -468,6 +488,37 @@ mod tests {
         // queue drained
         assert!(text.contains("canvas_serve_queue_depth 0\n"), "{text}");
         assert!(text.contains("canvas_serve_workers_busy 0\n"), "{text}");
+        // every family, once each, in the fixed order
+        let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        let expected = [
+            "# TYPE canvas_serve_uptime_seconds gauge",
+            "# TYPE canvas_serve_workers gauge",
+            "# TYPE canvas_serve_workers_busy gauge",
+            "# TYPE canvas_serve_queue_depth gauge",
+            "# TYPE canvas_serve_queue_capacity gauge",
+            "# TYPE canvas_serve_requests_total counter",
+            "# TYPE canvas_serve_errors_total counter",
+            "# TYPE canvas_serve_request_latency_seconds summary",
+            "# TYPE canvas_serve_inconclusive_total counter",
+            "# TYPE canvas_serve_delta_seeded_total counter",
+            "# TYPE canvas_serve_shed_total counter",
+            "# TYPE canvas_serve_deadline_total counter",
+            "# TYPE canvas_serve_connections_open gauge",
+            "# TYPE canvas_serve_connections_poisoned_total counter",
+            "# TYPE canvas_serve_requests_poisoned_total counter",
+            "# TYPE canvas_serve_cache_hits_total counter",
+            "# TYPE canvas_serve_cache_misses_total counter",
+            "# TYPE canvas_serve_cache_stores_total counter",
+            "# TYPE canvas_serve_cache_invalidations_total counter",
+            "# TYPE canvas_serve_cache_entries gauge",
+            "# TYPE canvas_serve_cache_evictions_total counter",
+            "# TYPE canvas_serve_cache_spill_hits_total counter",
+            "# TYPE canvas_serve_cache_bytes gauge",
+            "# TYPE canvas_serve_cache_budget_bytes gauge",
+            "# TYPE canvas_serve_cache_hit_ratio gauge",
+            "# TYPE canvas_serve_log_events_dropped_total counter",
+        ];
+        assert_eq!(types, expected, "{text}");
     }
 
     #[test]

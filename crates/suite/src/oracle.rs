@@ -102,17 +102,7 @@ pub fn explore(
         .spawn(move || explore_on_this_stack(&program, &spec, config))
         .map_err(|e| OracleError::Spawn(e.to_string()))?
         .join()
-        .map_err(|payload| OracleError::Panicked(panic_payload(payload.as_ref())))?
-}
-
-fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+        .map_err(|payload| OracleError::Panicked(canvas_core::panic_message(payload.as_ref())))?
 }
 
 fn explore_on_this_stack(
