@@ -1,14 +1,14 @@
 //! E15: fleet-scale corpus certification (DESIGN.md §13).
 //!
 //! Generates a fixed synthetic corpus with [`canvas_fleet::gen`], runs the
-//! sharded driver across a shard sweep (1/2/4/8), and runs a cold→warm
-//! pair through an on-disk certificate store. The shard sweep demonstrates
-//! scaling and cache-merge traffic; the warm re-run demonstrates the
-//! tentpole property — zero recomputed cells, byte-identical corpus
-//! digest. Like the E12 fixpoint benchmark, the emitted document splits
-//! into a `deterministic` section (verdict counts, digests, warm-run
-//! hits/misses — gated against `bench/baseline.json`) and a `measured`
-//! section (wall clock, steals, merge traffic — recorded, never gated).
+//! driver across a worker sweep (1/2/4/8), and runs a cold→warm pair
+//! through an on-disk certificate store. The sweep shows scaling and how
+//! many cells the shared store lets the workers solve; the warm re-run
+//! shows that a warm store recomputes nothing and reproduces the corpus
+//! digest exactly. Like the E12 fixpoint benchmark, the emitted document
+//! splits into a `deterministic` section (verdict counts, digests,
+//! warm-run misses — gated against `bench/baseline.json`) and a `measured`
+//! section (wall clock, cache traffic — recorded, never gated).
 
 use std::time::Duration;
 
@@ -32,20 +32,10 @@ pub struct FleetSweepRow {
     pub shards: usize,
     /// End-to-end wall clock.
     pub wall: Duration,
-    /// Of which, the final cache merge.
-    pub merge_wall: Duration,
-    /// Work-stealing moves.
-    pub steals: u64,
-    /// Cache hits / fresh solves across all shards.
+    /// Cells answered from the store, summed over every worker.
     pub hits: u64,
     /// Cells solved fresh.
     pub misses: u64,
-    /// New entries merged from shard caches into the final store.
-    pub merged: u64,
-    /// Byte-identical entries already present at merge time.
-    pub duplicates: u64,
-    /// Same-key different-bytes collisions (resolved deterministically).
-    pub conflicts: u64,
 }
 
 /// Everything `eval fleet` reports.
@@ -74,8 +64,6 @@ pub struct FleetBenchMetrics {
     pub warm_misses: u64,
     /// Cache hits on the warm re-run.
     pub warm_hits: u64,
-    /// Store entries seeded into shard caches on the warm re-run.
-    pub warm_seeded: u64,
     /// True iff the warm re-run reproduced the cold corpus digest.
     pub warm_digest_matches: bool,
     /// Cold-run wall clock (measured).
@@ -140,20 +128,15 @@ pub fn collect_fleet_metrics() -> FleetBenchMetrics {
         sweep.push(FleetSweepRow {
             shards,
             wall: r.wall,
-            merge_wall: r.merge_wall,
-            steals: r.steals,
             hits: r.cache.hits,
             misses: r.cache.misses,
-            merged: r.cache.merged,
-            duplicates: r.cache.duplicates,
-            conflicts: r.cache.conflicts,
         });
     }
     let (certified, violating, violation_sites, inconclusive, truth_mismatches, corpus_digest) =
         first.expect("sweep is non-empty");
 
     // Cold→warm pair through an on-disk store: the warm run must answer
-    // every cell from the merged shard caches of the cold run.
+    // every cell from the store the cold run persisted.
     let dir = std::env::temp_dir().join(format!("canvas-eval-fleet-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut cfg = cmp_config(4);
@@ -175,7 +158,6 @@ pub fn collect_fleet_metrics() -> FleetBenchMetrics {
         shard_digests_agree,
         warm_misses: warm.cache.misses,
         warm_hits: warm.cache.hits,
-        warm_seeded: warm.cache.seeded,
         warm_digest_matches: warm.corpus_digest == cold.corpus_digest,
         cold_wall: cold.wall,
         warm_wall: warm.wall,
@@ -193,13 +175,8 @@ pub fn fleet_to_json(m: &FleetBenchMetrics) -> Json {
             obj(vec![
                 ("shards", Json::Int(r.shards as u64)),
                 ("wall_ms", Json::Int(r.wall.as_millis() as u64)),
-                ("merge_ms", Json::Int(r.merge_wall.as_millis() as u64)),
-                ("steals", Json::Int(r.steals)),
                 ("hits", Json::Int(r.hits)),
                 ("misses", Json::Int(r.misses)),
-                ("merged", Json::Int(r.merged)),
-                ("duplicates", Json::Int(r.duplicates)),
-                ("conflicts", Json::Int(r.conflicts)),
             ])
         })
         .collect();
@@ -220,7 +197,6 @@ pub fn fleet_to_json(m: &FleetBenchMetrics) -> Json {
         ]),
         obj(vec![
             ("warm_hits", Json::Int(m.warm_hits)),
-            ("warm_seeded", Json::Int(m.warm_seeded)),
             ("cold_wall_ms", Json::Int(m.cold_wall.as_millis() as u64)),
             ("warm_wall_ms", Json::Int(m.warm_wall.as_millis() as u64)),
             ("sweep", Json::Arr(sweep)),
@@ -246,31 +222,22 @@ pub fn render_fleet(m: &FleetBenchMetrics) -> String {
         "shard digests agree: {}",
         if m.shard_digests_agree { "yes" } else { "NO — schedule leaked into answers" }
     );
-    let _ = writeln!(
-        out,
-        "\nshards      wall     merge  steals    hits  misses  merged  dup  conflicts"
-    );
+    let _ = writeln!(out, "\nshards      wall    hits  misses");
     for r in &m.sweep {
         let _ = writeln!(
             out,
-            "{:>6}  {:>8}  {:>8}  {:>6}  {:>6}  {:>6}  {:>6}  {:>3}  {:>9}",
+            "{:>6}  {:>8}  {:>6}  {:>6}",
             r.shards,
             fmt_duration(r.wall),
-            fmt_duration(r.merge_wall),
-            r.steals,
             r.hits,
-            r.misses,
-            r.merged,
-            r.duplicates,
-            r.conflicts
+            r.misses
         );
     }
     let _ = writeln!(
         out,
-        "\nwarm re-run: {} misses, {} hits, {} seeded, digest {} (cold {}, warm {})",
+        "\nwarm re-run: {} misses, {} hits, digest {} (cold {}, warm {})",
         m.warm_misses,
         m.warm_hits,
-        m.warm_seeded,
         if m.warm_digest_matches { "reproduced" } else { "DIVERGED" },
         fmt_duration(m.cold_wall),
         fmt_duration(m.warm_wall)

@@ -5,8 +5,6 @@
 //! records the measured outcomes against the paper's claims.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use canvas_core::{panic_message, Certifier, CertifyError, Engine, PreparedProgram};
@@ -195,57 +193,60 @@ pub fn precision_table() -> Vec<PrecisionCell> {
 
     let jobs: Vec<(usize, Engine)> =
         (0..benchmarks.len()).flat_map(|bi| engines.iter().map(move |&e| (bi, e))).collect();
-    let slots: Vec<Mutex<Option<PrecisionCell>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
     let workers = canvas_suite::worker_count(jobs.len());
     SUITE_JOBS.add(jobs.len() as u64);
     SUITE_WORKERS.add(workers as u64);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let spawned = Instant::now();
-                let mut busy = Duration::ZERO;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(bi, engine)) = jobs.get(i) else { break };
-                    let _job = SUITE_JOB_TIME.span();
-                    let started = Instant::now();
-                    let b = &benchmarks[bi];
-                    let certifier = &certifiers[cert_idx[bi]].1;
-                    // isolate the case: a panicking engine poisons this one
-                    // cell, the worker survives, and every other cell is
-                    // still computed and re-aggregated deterministically.
-                    // The scope wraps the catch_unwind so a poisoned cell
-                    // still rolls up whatever it counted before the panic.
-                    let scope =
-                        canvas_telemetry::Scope::new(format!("{}::{}", b.name, engine.abbrev()));
-                    let mut cell = match &parsed[bi] {
-                        Ok((program, prepared)) => {
-                            let _in_scope = scope.enter();
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                run_cell_prepared(certifier, b, program, prepared, engine)
-                            }))
-                            .unwrap_or_else(|payload| {
-                                poisoned_cell(b, engine, panic_message(payload.as_ref()))
-                            })
-                        }
-                        Err(why) => failed_cell(b, engine, why.clone()),
-                    };
-                    if canvas_telemetry::enabled() {
-                        cell.scope = Some(scope.snapshot());
-                    }
-                    *slots[i].lock().expect("no panics while holding the slot lock") = Some(cell);
-                    busy += started.elapsed();
+    /// One worker's clock: when it started, its time inside jobs, and when
+    /// its last job ended.
+    struct Clock {
+        spawned: Instant,
+        busy: Duration,
+        done: Instant,
+    }
+    let claimed = canvas_suite::claim_each(
+        jobs.len(),
+        workers,
+        |_| {
+            let now = Instant::now();
+            Clock { spawned: now, busy: Duration::ZERO, done: now }
+        },
+        |clock, i| {
+            let (bi, engine) = jobs[i];
+            let _job = SUITE_JOB_TIME.span();
+            let started = Instant::now();
+            let b = &benchmarks[bi];
+            let certifier = &certifiers[cert_idx[bi]].1;
+            // isolate the case: a panicking engine poisons this one
+            // cell, the worker survives, and every other cell is
+            // still computed and re-aggregated deterministically.
+            // The scope wraps the catch_unwind so a poisoned cell
+            // still rolls up whatever it counted before the panic.
+            let scope = canvas_telemetry::Scope::new(format!("{}::{}", b.name, engine.abbrev()));
+            let mut cell = match &parsed[bi] {
+                Ok((program, prepared)) => {
+                    let _in_scope = scope.enter();
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run_cell_prepared(certifier, b, program, prepared, engine)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        poisoned_cell(b, engine, panic_message(payload.as_ref()))
+                    })
                 }
-                SUITE_WORKER_BUSY.observe(busy);
-                SUITE_WORKER_IDLE.observe(spawned.elapsed().saturating_sub(busy));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("worker did not panic").expect("every cell computed"))
-        .collect()
+                Err(why) => failed_cell(b, engine, why.clone()),
+            };
+            if canvas_telemetry::enabled() {
+                cell.scope = Some(scope.snapshot());
+            }
+            clock.busy += started.elapsed();
+            clock.done = Instant::now();
+            cell
+        },
+    );
+    for clock in claimed.workers.iter().flatten() {
+        SUITE_WORKER_BUSY.observe(clock.busy);
+        SUITE_WORKER_IDLE.observe((clock.done - clock.spawned).saturating_sub(clock.busy));
+    }
+    claimed.results.into_iter().map(|c| c.expect("every cell computed")).collect()
 }
 
 /// One point of the scaling figure (E7).

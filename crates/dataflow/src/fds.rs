@@ -527,7 +527,7 @@ pub(crate) fn analyze_inner<const TRACE: bool>(
 /// table (E12) reports the bit-parallel kernel's throughput against it.
 /// Ungoverned and untraced; publishes no `fds.*` telemetry (it is a
 /// yardstick, not a production path). It evaluates right-hand sides
-/// itself rather than through [`eval_rhs`]: as the differential oracle it
+/// itself rather than through `eval_rhs`: as the differential oracle it
 /// must not share a bug with the kernel it checks.
 pub fn analyze_reference(bp: &BoolProgram) -> ScalarResult {
     let n = bp.node_count;

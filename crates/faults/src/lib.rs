@@ -309,7 +309,7 @@ pub enum Fault {
     QueueFull,
     /// One fleet worker dies mid-corpus: models a crashed shard in a
     /// corpus-scale run, proving shard death poisons only that shard (its
-    /// in-flight program is lost; the rest of its partition is stolen).
+    /// in-flight program is lost; the other workers claim the rest).
     ShardDeath,
 }
 

@@ -1,31 +1,28 @@
-//! The sharded, work-stealing corpus certification driver.
+//! The corpus certification driver.
 //!
-//! The corpus manifest is partitioned into `shards` contiguous ranges,
-//! one worker thread per shard. Each shard owns an atomic claim cursor;
-//! a worker first drains its own partition and then *steals* from the
-//! other shards' cursors, so a slow or dead shard's remaining work is
-//! redistributed automatically. Claiming is a single `fetch_add`, which
-//! makes every program processed exactly once (a claimed index is either
+//! `shards` worker threads claim programs from one shared cursor
+//! ([`canvas_suite::claim_each`]), so every program is processed exactly
+//! once and a slow worker simply claims fewer. A claimed index is either
 //! completed, poisoned, or — if the claimant dies — lost with the dead
 //! worker, which is the failure-isolation contract: a worker death loses
-//! only its in-flight program).
+//! only its in-flight program, and the surviving workers claim the rest.
 //!
-//! Each shard runs its own in-memory certificate cache, optionally
-//! seeded from a warm on-disk store; at the end the shard caches are
-//! merged losslessly (content-addressed, order-independent — see
-//! `CertCache::merge_from`) back into the store. With remote backends
-//! configured, shards instead speak the `canvas serve` NDJSON protocol
+//! In local mode every worker certifies through one
+//! [`IncrementalCertifier`] over one shared [`CertCache`], as `canvas
+//! serve`'s worker pool does: a cell one worker solves is a hit for every
+//! other worker from then on. Under a cache directory the store is opened
+//! once at the start and persisted once at the end. With remote backends
+//! configured, workers instead speak the `canvas serve` NDJSON protocol
 //! over TCP and caching happens server-side.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-use canvas_core::{panic_message, CanvasError, Certifier, Engine, Verdict};
+use canvas_core::{panic_message, CanvasError, Certifier, Engine, Verdict, Violation};
 use canvas_easl::Spec;
 use canvas_faults::Fault;
 use canvas_incr::fingerprint::{Fingerprint, Hasher64};
@@ -36,19 +33,17 @@ use canvas_minijava::Program;
 use canvas_telemetry::{Counter, Histogram};
 
 use crate::manifest::FleetItem;
-use crate::report::{FleetCacheTraffic, FleetReport, ShardRow};
+use crate::report::{FleetReport, ShardRow};
 
 static FLEET_PROGRAMS: Counter = Counter::new("fleet.programs");
 static FLEET_VIOLATING: Counter = Counter::new("fleet.programs_violating");
-static FLEET_STEALS: Counter = Counter::non_deterministic("fleet.steals");
 static FLEET_POISONED: Counter = Counter::non_deterministic("fleet.poisoned_programs");
 static FLEET_DEAD_SHARDS: Counter = Counter::non_deterministic("fleet.dead_shards");
-static FLEET_MERGED: Counter = Counter::non_deterministic("fleet.cache_merge_entries");
 
 /// How one fleet run is configured.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
-    /// Worker/partition/cache count (clamped to `[1, programs]`).
+    /// Worker count (clamped to `[1, programs]`).
     pub shards: usize,
     /// Engine every program is certified with.
     pub engine: Engine,
@@ -56,8 +51,8 @@ pub struct FleetConfig {
     pub spec: Spec,
     /// The spec's name, as remote backends expect it (e.g. `cmp`).
     pub spec_name: String,
-    /// Warm certificate store directory: seeded from at startup, merged
-    /// into and persisted at the end.
+    /// Certificate store directory: opened at startup, persisted at the
+    /// end.
     pub cache_dir: Option<PathBuf>,
     /// `canvas serve --listen` backends (`host:port`); when non-empty the
     /// fleet certifies remotely instead of in-process.
@@ -81,53 +76,38 @@ impl FleetConfig {
     }
 }
 
-/// One violation site, as the digest and truth check see it.
-#[derive(Clone, Debug)]
-struct Site {
-    method: String,
-    line: u32,
-    col: u32,
-    what: String,
-}
-
 /// What happened to one program.
 #[derive(Clone, Debug)]
 enum Outcome {
-    /// Complete run: empty sites = certified.
-    Done { sites: Vec<Site>, inconclusive: Option<String>, truth_ok: Option<bool> },
+    /// Complete run: no violations = certified.
+    Done { sites: Vec<Violation>, inconclusive: Option<String>, truth_ok: Option<bool> },
     /// The program's certification panicked or errored (contained).
     Poisoned { message: String },
 }
 
-/// Per-shard shared state (written by whichever worker processes the
-/// shard's programs, read once at aggregation).
+/// Per-worker counters, shared so that a dead worker's row still reports
+/// what it did before it died.
 struct ShardState {
     processed: AtomicU64,
-    stolen: AtomicU64,
     poisoned: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     delta_seeded: AtomicU64,
-    dead: AtomicBool,
     latency: Histogram,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// How one worker certifies.
+enum Via<'a> {
+    /// In-process, through the fleet's one shared store.
+    Local(&'a IncrementalCertifier),
+    /// Over a `canvas serve` connection.
+    Remote(TcpStream, BufReader<TcpStream>),
 }
 
-/// Claims the next unprocessed index: own partition first, then steal
-/// from the other shards in ring order. Returns `(index, stolen)`.
-fn claim(cursors: &[AtomicUsize], ends: &[usize], me: usize) -> Option<(usize, bool)> {
-    let n = cursors.len();
-    for k in 0..n {
-        let shard = (me + k) % n;
-        let idx = cursors[shard].fetch_add(1, Ordering::SeqCst);
-        if idx < ends[shard] {
-            return Some((idx, k != 0));
-        }
-    }
-    None
+/// One worker's private state.
+struct Worker<'a> {
+    shard: usize,
+    via: Via<'a>,
 }
 
 /// Certifies `item` in-process, classifying every failure as a contained
@@ -148,20 +128,11 @@ fn process_local(
     };
     match inc.certify_program_cached_with_stats(&program, engine) {
         Ok((report, stats)) => {
-            let sites: Vec<Site> = report
-                .violations
-                .iter()
-                .map(|v| Site {
-                    method: v.method.clone(),
-                    line: v.line,
-                    col: v.col,
-                    what: v.what.clone(),
-                })
-                .collect();
-            let inconclusive = match &report.verdict {
-                Verdict::Inconclusive { reason } => Some(reason.clone()),
+            let inconclusive = match report.verdict {
+                Verdict::Inconclusive { reason } => Some(reason),
                 Verdict::Complete => None,
             };
+            let sites = report.violations;
             let truth_ok = truth_check(item, engine, inconclusive.is_some(), &sites);
             (Outcome::Done { sites, inconclusive, truth_ok }, stats)
         }
@@ -177,7 +148,7 @@ fn truth_check(
     item: &FleetItem,
     engine: Engine,
     inconclusive: bool,
-    sites: &[Site],
+    sites: &[Violation],
 ) -> Option<bool> {
     let expected = item.expected.as_ref()?;
     if engine != Engine::ScmpFds || inconclusive {
@@ -199,6 +170,7 @@ fn process_remote(
     spec_name: &str,
     engine: Engine,
 ) -> (Outcome, RunCacheStats) {
+    let poisoned = |message: String| (Outcome::Poisoned { message }, RunCacheStats::default());
     let request = obj(vec![
         ("id", Json::Int(idx as u64)),
         ("cmd", Json::Str("certify".to_string())),
@@ -209,86 +181,97 @@ fn process_remote(
     let mut line = request.render_compact();
     line.push('\n');
     if let Err(e) = stream.write_all(line.as_bytes()) {
-        return (
-            Outcome::Poisoned { message: format!("backend write: {e}") },
-            RunCacheStats::default(),
-        );
+        return poisoned(format!("backend write: {e}"));
     }
     let mut response = String::new();
     match reader.read_line(&mut response) {
-        Ok(0) => {
-            return (
-                Outcome::Poisoned { message: "backend closed the connection".to_string() },
-                RunCacheStats::default(),
-            )
-        }
+        Ok(0) => return poisoned("backend closed the connection".to_string()),
         Ok(_) => {}
-        Err(e) => {
-            return (
-                Outcome::Poisoned { message: format!("backend read: {e}") },
-                RunCacheStats::default(),
-            )
-        }
+        Err(e) => return poisoned(format!("backend read: {e}")),
     }
     let json = match Json::parse(response.trim_end()) {
         Ok(j) => j,
-        Err(e) => {
-            return (
-                Outcome::Poisoned { message: format!("backend response: {e}") },
-                RunCacheStats::default(),
-            )
-        }
+        Err(e) => return poisoned(format!("backend response: {e}")),
     };
     if json.get("ok") != Some(&Json::Bool(true)) {
-        let message = match json.get("error") {
+        return poisoned(match json.get("error") {
             Some(Json::Str(s)) => format!("backend error: {s}"),
             _ => "backend error".to_string(),
-        };
-        return (Outcome::Poisoned { message }, RunCacheStats::default());
+        });
     }
-    let mut sites = Vec::new();
-    if let Some(Json::Arr(vs)) = json.get("violations") {
-        for v in vs {
-            let str_of = |k: &str| match v.get(k) {
-                Some(Json::Str(s)) => s.clone(),
-                _ => String::new(),
-            };
-            let int_of = |k: &str| match v.get(k) {
-                Some(Json::Int(n)) => *n as u32,
-                _ => 0,
-            };
-            sites.push(Site {
-                method: str_of("method"),
-                line: int_of("line"),
-                col: int_of("col"),
-                what: str_of("what"),
-            });
+    match read_answer(&json, idx) {
+        Ok((sites, inconclusive)) => {
+            let mut stats = RunCacheStats::default();
+            if let Some(cache) = json.get("cache") {
+                let int_of = |k: &str| match cache.get(k) {
+                    Some(Json::Int(n)) => *n,
+                    _ => 0,
+                };
+                stats.hits = int_of("hits");
+                stats.misses = int_of("misses");
+                stats.delta_seeded = int_of("delta_seeded");
+            }
+            let truth_ok = truth_check(item, engine, inconclusive.is_some(), &sites);
+            (Outcome::Done { sites, inconclusive, truth_ok }, stats)
         }
+        Err(why) => poisoned(format!("backend response: {why}")),
     }
-    let inconclusive = match json.get("verdict") {
-        Some(Json::Str(v)) if v == "inconclusive" => Some(match json.get("reason") {
-            Some(Json::Str(r)) => r.clone(),
-            _ => "inconclusive".to_string(),
-        }),
-        _ => None,
-    };
-    let mut stats = RunCacheStats::default();
-    if let Some(cache) = json.get("cache") {
-        let int_of = |k: &str| match cache.get(k) {
-            Some(Json::Int(n)) => *n,
-            _ => 0,
-        };
-        stats.hits = int_of("hits");
-        stats.misses = int_of("misses");
-        stats.delta_seeded = int_of("delta_seeded");
-    }
-    let truth_ok = truth_check(item, engine, inconclusive.is_some(), &sites);
-    (Outcome::Done { sites, inconclusive, truth_ok }, stats)
 }
 
-/// Runs the fleet: partitions `items` across shards, certifies every
-/// program exactly once (modulo worker death), merges the shard caches,
-/// and aggregates the report.
+/// Reads the answer of a successful certify response, failing closed: a
+/// wrong `id`, an unknown `verdict`, a verdict its violations contradict,
+/// or a violation with a missing, mistyped or out-of-range field is an
+/// `Err`, never a certified program. Returns the violations and, for an
+/// inconclusive verdict, its reason.
+fn read_answer(json: &Json, idx: usize) -> Result<(Vec<Violation>, Option<String>), String> {
+    if json.get("id") != Some(&Json::Int(idx as u64)) {
+        return Err(format!("id is not the request's {idx}"));
+    }
+    let Some(Json::Arr(raw)) = json.get("violations") else {
+        return Err("missing violations array".to_string());
+    };
+    let str_of = |v: &Json, k: &str| match v.get(k) {
+        Some(Json::Str(s)) => Ok(s.clone()),
+        _ => Err(format!("violation without string {k:?}")),
+    };
+    let u32_of = |v: &Json, k: &str| match v.get(k) {
+        Some(Json::Int(n)) => {
+            u32::try_from(*n).map_err(|_| format!("violation {k:?} out of range"))
+        }
+        _ => Err(format!("violation without integer {k:?}")),
+    };
+    let sites = raw
+        .iter()
+        .map(|v| {
+            Ok(Violation {
+                method: str_of(v, "method")?,
+                line: u32_of(v, "line")?,
+                col: u32_of(v, "col")?,
+                what: str_of(v, "what")?,
+                witness: None,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    match json.get("verdict") {
+        Some(Json::Str(v)) if v == "inconclusive" => Ok((
+            sites,
+            Some(match json.get("reason") {
+                Some(Json::Str(r)) => r.clone(),
+                _ => "inconclusive".to_string(),
+            }),
+        )),
+        Some(Json::Str(v)) if v == "certified" && sites.is_empty() => Ok((sites, None)),
+        Some(Json::Str(v)) if v == "violations" && !sites.is_empty() => Ok((sites, None)),
+        Some(Json::Str(v)) if v == "certified" || v == "violations" => {
+            Err(format!("verdict {v:?} contradicts {} violations", sites.len()))
+        }
+        _ => Err("verdict is not certified, violations or inconclusive".to_string()),
+    }
+}
+
+/// Runs the fleet: certifies every program exactly once (modulo worker
+/// death) through one shared certificate store, persists the store, and
+/// aggregates the report.
 ///
 /// # Errors
 ///
@@ -301,154 +284,95 @@ pub fn run_fleet(items: &[FleetItem], cfg: &FleetConfig) -> Result<FleetReport, 
     let shards = cfg.shards.clamp(1, n.max(1));
     let remote = !cfg.backends.is_empty();
 
-    // contiguous partitions with per-shard claim cursors
-    let starts: Vec<usize> = (0..shards).map(|s| s * n / shards).collect();
-    let ends: Vec<usize> = (0..shards).map(|s| (s + 1) * n / shards).collect();
-    let cursors: Vec<AtomicUsize> = starts.iter().map(|&s| AtomicUsize::new(s)).collect();
+    // local mode: one certifier derivation over one store, shared by
+    // every worker
+    let local = if remote {
+        None
+    } else {
+        let store = match &cfg.cache_dir {
+            Some(dir) => CertCache::open(dir),
+            None => CertCache::in_memory(),
+        };
+        Some(IncrementalCertifier::new(Certifier::from_spec(cfg.spec.clone())?, store))
+    };
 
-    // one certifier derivation, cloned per worker (local mode)
-    let certifier = if remote { None } else { Some(Certifier::from_spec(cfg.spec.clone())?) };
-
-    // warm store: seed every shard cache from it, merge back at the end
-    let store = cfg.cache_dir.as_ref().map(|dir| CertCache::open(dir));
-    let shard_caches: Vec<Arc<CertCache>> =
-        (0..shards).map(|_| Arc::new(CertCache::in_memory())).collect();
-    let mut seeded = 0u64;
-    if let Some(store) = &store {
-        for cache in &shard_caches {
-            seeded += cache.merge_from(store).merged;
-        }
-    }
-
-    let slots: Vec<Mutex<Option<Outcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let states: Vec<ShardState> = (0..shards)
         .map(|_| ShardState {
             processed: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
             poisoned: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             delta_seeded: AtomicU64::new(0),
-            dead: AtomicBool::new(false),
             latency: Histogram::new("fleet.shard_latency_ns"),
         })
         .collect();
 
     // taken by the one worker the injected shard-death fault kills
     let death = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for w in 0..shards {
-            let death = &death;
-            let cursors = &cursors;
-            let ends = &ends;
-            let slots = &slots;
-            let states = &states;
-            let shard_caches = &shard_caches;
-            let certifier = certifier.clone();
-            scope.spawn(move || {
-                let state = &states[w];
-                let worker = catch_unwind(AssertUnwindSafe(|| {
-                    // local-mode incremental certifier over this shard's cache
-                    let inc = certifier
-                        .map(|c| IncrementalCertifier::shared(c, Arc::clone(&shard_caches[w])));
-                    // remote-mode connection (a dead backend poisons this
-                    // shard; the other shards steal its partition)
-                    let mut conn = if remote {
-                        let backend = &cfg.backends[w % cfg.backends.len()];
-                        let stream = TcpStream::connect(backend)
-                            .unwrap_or_else(|e| panic!("backend {backend} unreachable: {e}"));
-                        let reader = BufReader::new(stream.try_clone().unwrap_or_else(|e| {
-                            panic!("backend {backend}: cannot clone stream: {e}")
-                        }));
-                        Some((stream, reader))
-                    } else {
-                        None
-                    };
-                    let mut completed = 0u64;
-                    while let Some((idx, stolen)) = claim(cursors, ends, w) {
-                        // injected fault: the first worker, of any index,
-                        // to claim a program after completing one dies
-                        // between programs (a corpus with more programs than
-                        // shards always has one, whatever the schedule); the
-                        // claimed index is its lost in-flight program
-                        if completed >= 1
-                            && canvas_faults::active(Fault::ShardDeath)
-                            && death
-                                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                                .is_ok()
-                        {
-                            panic!(
-                                "injected fault shard-death: fleet worker {w} died mid-corpus \
-                                 (in-flight: {})",
-                                items[idx].name
-                            );
-                        }
-                        let t0 = Instant::now();
-                        let contained =
-                            catch_unwind(AssertUnwindSafe(|| match (&inc, &mut conn) {
-                                (Some(inc), _) => process_local(inc, &items[idx], cfg.engine),
-                                (None, Some((stream, reader))) => process_remote(
-                                    stream,
-                                    reader,
-                                    &items[idx],
-                                    idx,
-                                    &cfg.spec_name,
-                                    cfg.engine,
-                                ),
-                                (None, None) => unreachable!("remote mode always has a connection"),
-                            }));
-                        let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                        state.latency.record_value(ns);
-                        let outcome = match contained {
-                            Ok((outcome, stats)) => {
-                                state.hits.fetch_add(stats.hits, Ordering::Relaxed);
-                                state.misses.fetch_add(stats.misses, Ordering::Relaxed);
-                                state.delta_seeded.fetch_add(stats.delta_seeded, Ordering::Relaxed);
-                                outcome
-                            }
-                            Err(payload) => {
-                                Outcome::Poisoned { message: panic_message(payload.as_ref()) }
-                            }
-                        };
-                        if matches!(outcome, Outcome::Poisoned { .. }) {
-                            state.poisoned.fetch_add(1, Ordering::Relaxed);
-                        }
-                        *lock(&slots[idx]) = Some(outcome);
-                        state.processed.fetch_add(1, Ordering::Relaxed);
-                        if stolen {
-                            state.stolen.fetch_add(1, Ordering::Relaxed);
-                        }
-                        completed += 1;
-                    }
-                }));
-                if worker.is_err() {
-                    state.dead.store(true, Ordering::SeqCst);
-                }
-            });
+    let setup = |shard: usize| {
+        let via = match &local {
+            Some(inc) => Via::Local(inc),
+            // a dead backend kills this worker before it claims anything;
+            // the other workers claim the whole corpus
+            None => {
+                let backend = &cfg.backends[shard % cfg.backends.len()];
+                let stream = TcpStream::connect(backend)
+                    .unwrap_or_else(|e| panic!("backend {backend} unreachable: {e}"));
+                let reader = BufReader::new(
+                    stream
+                        .try_clone()
+                        .unwrap_or_else(|e| panic!("backend {backend}: cannot clone stream: {e}")),
+                );
+                Via::Remote(stream, reader)
+            }
+        };
+        Worker { shard, via }
+    };
+    let claimed = canvas_suite::claim_each(n, shards, setup, |worker: &mut Worker<'_>, idx| {
+        // injected fault: the first worker, of any index, to claim a
+        // program after completing one dies between programs (a corpus
+        // with more programs than shards always has one, whatever the
+        // schedule); the claimed index is its lost in-flight program
+        let state = &states[worker.shard];
+        if state.processed.load(Ordering::Relaxed) >= 1
+            && canvas_faults::active(Fault::ShardDeath)
+            && death.compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst).is_ok()
+        {
+            panic!(
+                "injected fault shard-death: fleet worker {} died mid-corpus (in-flight: {})",
+                worker.shard, items[idx].name
+            );
         }
+        let t0 = Instant::now();
+        let contained = catch_unwind(AssertUnwindSafe(|| match &mut worker.via {
+            Via::Local(inc) => process_local(inc, &items[idx], cfg.engine),
+            Via::Remote(stream, reader) => {
+                process_remote(stream, reader, &items[idx], idx, &cfg.spec_name, cfg.engine)
+            }
+        }));
+        let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        state.latency.record_value(ns);
+        let outcome = match contained {
+            Ok((outcome, stats)) => {
+                state.hits.fetch_add(stats.hits, Ordering::Relaxed);
+                state.misses.fetch_add(stats.misses, Ordering::Relaxed);
+                state.delta_seeded.fetch_add(stats.delta_seeded, Ordering::Relaxed);
+                outcome
+            }
+            Err(payload) => Outcome::Poisoned { message: panic_message(payload.as_ref()) },
+        };
+        if matches!(outcome, Outcome::Poisoned { .. }) {
+            state.poisoned.fetch_add(1, Ordering::Relaxed);
+        }
+        state.processed.fetch_add(1, Ordering::Relaxed);
+        outcome
     });
-
-    // merge the shard caches losslessly into the (possibly disk-backed)
-    // final store, then persist it
-    let merge_started = Instant::now();
-    let mut cache = FleetCacheTraffic { seeded, ..FleetCacheTraffic::default() };
-    if !remote {
-        let merged_store = store.unwrap_or_else(CertCache::in_memory);
-        for shard_cache in &shard_caches {
-            let stats = merged_store.merge_from(shard_cache);
-            cache.merged += stats.merged;
-            cache.duplicates += stats.duplicates;
-            cache.conflicts += stats.conflicts;
-        }
-        FLEET_MERGED.add(cache.merged);
-        if cfg.cache_dir.is_some() {
-            merged_store.persist()?;
-        }
+    if let Some(inc) = &local {
+        inc.persist()?;
     }
-    let merge_wall = merge_started.elapsed();
 
     // aggregate: verdict counts and the index-ordered outcome digest are
-    // schedule-independent; everything per-shard is measured
+    // schedule-independent; everything per-worker is measured
     let mut report = FleetReport {
         engine: cfg.engine.to_string(),
         spec: cfg.spec_name.clone(),
@@ -465,16 +389,14 @@ pub fn run_fleet(items: &[FleetItem], cfg: &FleetConfig) -> Result<FleetReport, 
         truth_mismatches: 0,
         corpus_digest: Fingerprint(0),
         manifest_digest: cfg.manifest_digest,
-        cache,
-        steals: 0,
+        cache: RunCacheStats::default(),
         shard_rows: Vec::new(),
         wall: std::time::Duration::default(),
-        merge_wall,
     };
     let mut h = Hasher64::new();
-    for (item, slot) in items.iter().zip(&slots) {
+    for (item, outcome) in items.iter().zip(&claimed.results) {
         h.write_str(&item.name);
-        match lock(slot).as_ref() {
+        match outcome {
             Some(Outcome::Done { sites, inconclusive, truth_ok }) => {
                 match inconclusive {
                     Some(reason) => {
@@ -523,31 +445,27 @@ pub fn run_fleet(items: &[FleetItem], cfg: &FleetConfig) -> Result<FleetReport, 
     }
     report.corpus_digest = h.finish();
 
-    for (s, state) in states.iter().enumerate() {
-        let dead = state.dead.load(Ordering::SeqCst);
-        if dead {
-            report.dead_shards += 1;
-        }
-        report.steals += state.stolen.load(Ordering::Relaxed);
-        report.cache.hits += state.hits.load(Ordering::Relaxed);
-        report.cache.misses += state.misses.load(Ordering::Relaxed);
-        report.cache.delta_seeded += state.delta_seeded.load(Ordering::Relaxed);
-        report.shard_rows.push(ShardRow {
+    for (s, (state, worker)) in states.iter().zip(&claimed.workers).enumerate() {
+        let dead = worker.is_none();
+        report.dead_shards += usize::from(dead);
+        let row = ShardRow {
             shard: s,
             processed: state.processed.load(Ordering::Relaxed),
-            stolen: state.stolen.load(Ordering::Relaxed),
             poisoned_programs: state.poisoned.load(Ordering::Relaxed),
             dead,
             hits: state.hits.load(Ordering::Relaxed),
             misses: state.misses.load(Ordering::Relaxed),
             delta_seeded: state.delta_seeded.load(Ordering::Relaxed),
             latency: state.latency.stat(),
-        });
+        };
+        report.cache.hits += row.hits;
+        report.cache.misses += row.misses;
+        report.cache.delta_seeded += row.delta_seeded;
+        report.shard_rows.push(row);
     }
 
     FLEET_PROGRAMS.add((report.programs - report.poisoned_programs) as u64);
     FLEET_VIOLATING.add(report.violating as u64);
-    FLEET_STEALS.add(report.steals);
     FLEET_POISONED.add(report.poisoned_programs as u64);
     FLEET_DEAD_SHARDS.add(report.dead_shards as u64);
     report.wall = started.elapsed();

@@ -23,9 +23,6 @@
 //! the corpus is byte-identical across runs *and* across generator thread
 //! counts — the manifest digest is reproducible anywhere.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
 use canvas_core::CanvasError;
 use canvas_incr::fingerprint::Hasher64;
 use canvas_minijava::synth::{check_synthesized, SourceBuilder};
@@ -89,24 +86,15 @@ pub fn generate_with_threads(
 ) -> Result<Vec<GeneratedProgram>, CanvasError> {
     let n = params.programs;
     let spec = canvas_easl::builtin::cmp();
-    let slots: Vec<Mutex<Option<Result<GeneratedProgram, CanvasError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.clamp(1, n.max(1)) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let one = generate_one(params, i, &spec);
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(one);
-            });
-        }
-    });
+    let claimed = canvas_suite::claim_each(
+        n,
+        threads.clamp(1, n.max(1)),
+        |_| (),
+        |(), i| generate_one(params, i, &spec),
+    );
     let mut out = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+    for (i, slot) in claimed.results.into_iter().enumerate() {
+        match slot {
             Some(Ok(p)) => out.push(p),
             Some(Err(e)) => return Err(e),
             None => {

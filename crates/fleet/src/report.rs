@@ -4,30 +4,30 @@
 //! The document is split the same way the evaluation metrics are: a
 //! `deterministic` section (verdict counts, ground-truth mismatches, the
 //! corpus outcome digest — schedule-independent, baseline-gateable) and a
-//! `measured` section (wall clock, cache traffic, steals, per-shard
-//! latency — all schedule- or machine-dependent, recorded but never
-//! gated). Work stealing moves *where* a program runs, never *what* its
-//! report says, which is what keeps the first section deterministic.
+//! `measured` section (wall clock, cache traffic, per-worker latency — all
+//! schedule- or machine-dependent, recorded but never gated). The schedule
+//! decides *which* worker certifies a program, and with one shared store
+//! which worker solves a cell first, never *what* a report says, which is
+//! what keeps the first section deterministic.
 
 use std::time::Duration;
 
 use canvas_incr::fingerprint::Fingerprint;
 use canvas_incr::json::{bench_document, obj, Json};
+use canvas_incr::RunCacheStats;
 use canvas_telemetry::HistogramStat;
 
-/// Per-shard outcome row.
+/// Per-worker outcome row.
 #[derive(Clone, Debug)]
 pub struct ShardRow {
-    /// Shard index.
+    /// Worker index.
     pub shard: usize,
-    /// Programs this shard's worker completed (own partition + stolen).
+    /// Programs this worker completed.
     pub processed: u64,
-    /// Of those, programs stolen from other shards' partitions.
-    pub stolen: u64,
     /// Programs that panicked inside this worker (contained per-program).
     pub poisoned_programs: u64,
-    /// Whether the worker itself died (shard poisoned; its in-flight
-    /// program is lost, the rest of its partition was stolen).
+    /// Whether the worker itself died (its in-flight program is lost, the
+    /// other workers claimed the rest).
     pub dead: bool,
     /// Certificate-cache hits by this worker.
     pub hits: u64,
@@ -39,25 +39,6 @@ pub struct ShardRow {
     pub latency: HistogramStat,
 }
 
-/// Certificate-cache traffic over the whole fleet run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FleetCacheTraffic {
-    /// Cells answered from a shard cache.
-    pub hits: u64,
-    /// Cells solved fresh.
-    pub misses: u64,
-    /// Misses seeded by within-method delta re-solve.
-    pub delta_seeded: u64,
-    /// Entries copied from the warm store into shard caches at startup.
-    pub seeded: u64,
-    /// New entries merged from shard caches into the final store.
-    pub merged: u64,
-    /// Entries already present (byte-identical) at merge time.
-    pub duplicates: u64,
-    /// Same-key different-bytes merge collisions (receiver kept).
-    pub conflicts: u64,
-}
-
 /// The aggregated result of one fleet run.
 #[derive(Clone, Debug)]
 pub struct FleetReport {
@@ -67,7 +48,7 @@ pub struct FleetReport {
     pub spec: String,
     /// `local` or `serve` (remote backends).
     pub mode: String,
-    /// Shard count.
+    /// Worker count.
     pub shards_requested: usize,
     /// Corpus size.
     pub programs: usize,
@@ -92,16 +73,12 @@ pub struct FleetReport {
     pub corpus_digest: Fingerprint,
     /// The corpus manifest digest, when the run had a manifest.
     pub manifest_digest: Option<Fingerprint>,
-    /// Aggregated cache traffic.
-    pub cache: FleetCacheTraffic,
-    /// Work-stealing moves.
-    pub steals: u64,
-    /// Per-shard rows.
+    /// Cache traffic summed over every worker.
+    pub cache: RunCacheStats,
+    /// Per-worker rows.
     pub shard_rows: Vec<ShardRow>,
     /// End-to-end wall clock.
     pub wall: Duration,
-    /// Of which, final cache merge.
-    pub merge_wall: Duration,
 }
 
 impl FleetReport {
@@ -126,30 +103,16 @@ impl FleetReport {
         }
         out.push('\n');
         out.push_str(&format!(
-            "  cache: {} hits, {} misses, {} delta-seeded, {} seeded, merged {} (+{} duplicate, {} conflicts)\n",
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.delta_seeded,
-            self.cache.seeded,
-            self.cache.merged,
-            self.cache.duplicates,
-            self.cache.conflicts
+            "  cache: {} hits, {} misses, {} delta-seeded\n",
+            self.cache.hits, self.cache.misses, self.cache.delta_seeded
         ));
-        out.push_str(&format!(
-            "  wall: {} ms (merge {} ms), {} steals\n",
-            self.wall.as_millis(),
-            self.merge_wall.as_millis(),
-            self.steals
-        ));
-        out.push_str(
-            "  shard  programs  stolen  poisoned  hits  misses  p50us  p99us  maxus  dead\n",
-        );
+        out.push_str(&format!("  wall: {} ms\n", self.wall.as_millis()));
+        out.push_str("  shard  programs  poisoned  hits  misses  p50us  p99us  maxus  dead\n");
         for r in &self.shard_rows {
             out.push_str(&format!(
-                "  {:>5}  {:>8}  {:>6}  {:>8}  {:>4}  {:>6}  {:>5}  {:>5}  {:>5}  {}\n",
+                "  {:>5}  {:>8}  {:>8}  {:>4}  {:>6}  {:>5}  {:>5}  {:>5}  {}\n",
                 r.shard,
                 r.processed,
-                r.stolen,
                 r.poisoned_programs,
                 r.hits,
                 r.misses,
@@ -175,7 +138,6 @@ impl FleetReport {
                 obj(vec![
                     ("shard", Json::Int(r.shard as u64)),
                     ("processed", Json::Int(r.processed)),
-                    ("stolen", Json::Int(r.stolen)),
                     ("poisoned_programs", Json::Int(r.poisoned_programs)),
                     ("dead", Json::Bool(r.dead)),
                     ("hits", Json::Int(r.hits)),
@@ -207,8 +169,6 @@ impl FleetReport {
                 ("mode", Json::Str(self.mode.clone())),
                 ("shards", Json::Int(self.shards_requested as u64)),
                 ("wall_ms", Json::Int(self.wall.as_millis() as u64)),
-                ("merge_ms", Json::Int(self.merge_wall.as_millis() as u64)),
-                ("steals", Json::Int(self.steals)),
                 ("poisoned_programs", Json::Int(self.poisoned_programs as u64)),
                 ("dead_shards", Json::Int(self.dead_shards as u64)),
                 (
@@ -217,10 +177,6 @@ impl FleetReport {
                         ("hits", Json::Int(self.cache.hits)),
                         ("misses", Json::Int(self.cache.misses)),
                         ("delta_seeded", Json::Int(self.cache.delta_seeded)),
-                        ("seeded", Json::Int(self.cache.seeded)),
-                        ("merged", Json::Int(self.cache.merged)),
-                        ("duplicates", Json::Int(self.cache.duplicates)),
-                        ("conflicts", Json::Int(self.cache.conflicts)),
                     ]),
                 ),
                 ("shard_rows", Json::Arr(shard_rows)),

@@ -154,9 +154,10 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message with a byte offset on malformed input (including
-    /// floats and negative numbers, which the schema never produces).
+    /// floats and negative numbers, which the schema never produces) and on
+    /// arrays or objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -185,10 +186,18 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let one request
+/// line of `[`s overflow the stack; every document this workspace writes
+/// nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -226,11 +235,23 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -494,6 +515,24 @@ mod tests {
             let err = Json::parse(bad).expect_err(bad);
             assert!(err.contains(needle), "{bad:?}: error {err:?} should mention {needle:?}");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nest = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        let mut deepest = Json::parse(&nest(MAX_DEPTH)).expect("the limit itself parses");
+        let mut levels = 0;
+        while let Json::Arr(mut items) = deepest {
+            levels += 1;
+            deepest = items.pop().unwrap_or(Json::Null);
+        }
+        assert_eq!(levels, MAX_DEPTH);
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).expect_err("one level past the limit");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // objects count too, and an unterminated flood fails the same way
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&objects).expect_err("objects").contains("nesting deeper"));
+        assert!(Json::parse(&"[".repeat(900_000)).expect_err("flood").contains("nesting deeper"));
     }
 
     #[test]

@@ -1291,16 +1291,23 @@ mod tests {
     #[test]
     fn malformed_requests_do_not_kill_the_daemon() {
         let _faults = crate::fault_lock::shared();
-        let script =
-            format!("this is not json\n{{\"id\":2,\"cmd\":\"frobnicate\"}}\n{}\n", certify_line(3));
+        // the third line nests 900 000 arrays: under the line limit, far
+        // past the parser's depth bound, and once a stack overflow
+        let script = format!(
+            "this is not json\n{{\"id\":2,\"cmd\":\"frobnicate\"}}\n{}\n{}\n",
+            "[".repeat(900_000),
+            certify_line(4)
+        );
         let responses = run_script(&script, 1);
-        assert_eq!(responses.len(), 3);
-        for r in &responses[..2] {
+        assert_eq!(responses.len(), 4);
+        for r in &responses[..3] {
             assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{r:?}");
             let Some(Json::Str(e)) = r.get("error") else { panic!("no error: {r:?}") };
             assert!(e.starts_with("error[cli/parse]"), "{e}");
         }
-        assert_eq!(responses[2].get("ok"), Some(&Json::Bool(true)));
+        let Some(Json::Str(deep)) = responses[2].get("error") else { unreachable!() };
+        assert!(deep.contains("nesting deeper than 128"), "{deep}");
+        assert_eq!(responses[3].get("ok"), Some(&Json::Bool(true)));
     }
 
     #[test]

@@ -64,12 +64,6 @@ static CACHE_EVICTIONS: canvas_telemetry::Counter =
 /// stays a baseline-gated counter; *live* occupancy is the
 /// `canvas_serve_cache_bytes` gauge).
 static CACHE_BYTES: canvas_telemetry::Counter = canvas_telemetry::Counter::new("incr.cache_bytes");
-/// Certificates copied in by [`CertCache::merge_from`]. Which shard of a
-/// fleet run computed (and therefore donates) a given cell depends on
-/// work-stealing order, so the split between merged and duplicate entries
-/// is schedule-dependent: recorded, never gated.
-static CACHE_MERGED: canvas_telemetry::Counter =
-    canvas_telemetry::Counter::non_deterministic("incr.cache_merged");
 
 /// The engines' known static witness-unavailability reasons.
 /// `Witness::Unavailable` holds a `&'static str`, so a reason loaded from
@@ -101,8 +95,8 @@ pub struct CachedReport {
     pub max_states: u64,
     /// Whether a state budget degraded the result to conservative.
     pub exhausted: bool,
-    /// The violations, in normalized order.
-    pub violations: Vec<CachedViolation>,
+    /// The violations, in normalized order, witnesses included.
+    pub violations: Vec<Violation>,
     /// The replayable fixpoint solution, when the engine emitted one.
     pub cell: Option<CachedCell>,
     /// The boolean program's delta-diff shape (node/edge structure), when
@@ -126,43 +120,6 @@ pub struct CachedCell {
     pub solution: CellSolution,
 }
 
-/// One serialized violation (witness provenance included).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CachedViolation {
-    /// Qualified method name.
-    pub method: String,
-    /// 1-based source line.
-    pub line: u32,
-    /// 1-based source column.
-    pub col: u32,
-    /// Human-readable call description.
-    pub what: String,
-    /// Serialized witness (`None` = no witness recorded).
-    pub witness: Option<CachedWitness>,
-}
-
-/// Serialized witness evidence.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum CachedWitness {
-    /// A fact-establishment trace.
-    Trace(Vec<CachedStep>),
-    /// The engine reported no witness, with its reason.
-    Unavailable(String),
-}
-
-/// One serialized witness step.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CachedStep {
-    /// 1-based source line (0 = no location).
-    pub line: u32,
-    /// 1-based source column.
-    pub col: u32,
-    /// The establishing instruction.
-    pub what: String,
-    /// The established fact.
-    pub fact: String,
-}
-
 impl CachedReport {
     /// Extracts the cacheable certificate from a report and the engine's
     /// certificate cell, if it emitted one (so the warm path can serve
@@ -172,37 +129,13 @@ impl CachedReport {
         if report.verdict != Verdict::Complete {
             return None;
         }
-        let violations = report
-            .violations
-            .iter()
-            .map(|v| CachedViolation {
-                method: v.method.clone(),
-                line: v.line,
-                col: v.col,
-                what: v.what.clone(),
-                witness: v.witness.as_ref().map(|w| match w {
-                    Witness::Trace(steps) => CachedWitness::Trace(
-                        steps
-                            .iter()
-                            .map(|s| CachedStep {
-                                line: s.line,
-                                col: s.col,
-                                what: s.what.clone(),
-                                fact: s.fact.clone(),
-                            })
-                            .collect(),
-                    ),
-                    Witness::Unavailable(reason) => CachedWitness::Unavailable(reason.to_string()),
-                }),
-            })
-            .collect();
         Some(CachedReport {
             engine: report.engine.to_string(),
             predicates: report.stats.predicates as u64,
             work: report.stats.work as u64,
             max_states: report.stats.max_states as u64,
             exhausted: report.stats.exhausted,
-            violations,
+            violations: report.violations.clone(),
             cell: cell.map(|c| CachedCell {
                 preds: c.preds,
                 bp_digest: c.bp_digest,
@@ -215,35 +148,9 @@ impl CachedReport {
     /// Rehydrates the certificate as a [`Report`] (duration zero — the
     /// whole point is that no time was spent).
     pub fn to_report(&self, engine: Engine) -> Report {
-        let violations = self
-            .violations
-            .iter()
-            .map(|v| Violation {
-                method: v.method.clone(),
-                line: v.line,
-                col: v.col,
-                what: v.what.clone(),
-                witness: v.witness.as_ref().map(|w| match w {
-                    CachedWitness::Trace(steps) => Witness::Trace(
-                        steps
-                            .iter()
-                            .map(|s| WitnessStep {
-                                line: s.line,
-                                col: s.col,
-                                what: s.what.clone(),
-                                fact: s.fact.clone(),
-                            })
-                            .collect(),
-                    ),
-                    CachedWitness::Unavailable(reason) => {
-                        Witness::Unavailable(static_reason(reason))
-                    }
-                }),
-            })
-            .collect();
         Report {
             engine,
-            violations,
+            violations: self.violations.clone(),
             stats: Stats {
                 duration: std::time::Duration::ZERO,
                 predicates: self.predicates as usize,
@@ -257,12 +164,12 @@ impl CachedReport {
 
     /// The compact JSON form stored on disk (one line).
     pub fn to_json(&self) -> Json {
-        let witness = |w: &Option<CachedWitness>| match w {
+        let witness = |w: &Option<Witness>| match w {
             None => Json::Null,
-            Some(CachedWitness::Unavailable(reason)) => {
-                obj(vec![("unavailable", Json::Str(reason.clone()))])
+            Some(Witness::Unavailable(reason)) => {
+                obj(vec![("unavailable", Json::Str(reason.to_string()))])
             }
-            Some(CachedWitness::Trace(steps)) => obj(vec![(
+            Some(Witness::Trace(steps)) => obj(vec![(
                 "trace",
                 Json::Arr(
                     steps
@@ -393,24 +300,24 @@ impl CachedReport {
                 Some(Json::Null) | None => None,
                 Some(w) => {
                     if let Some(Json::Str(reason)) = w.get("unavailable") {
-                        Some(CachedWitness::Unavailable(reason.clone()))
+                        Some(Witness::Unavailable(static_reason(reason)))
                     } else if let Some(Json::Arr(raw_steps)) = w.get("trace") {
                         let mut steps = Vec::with_capacity(raw_steps.len());
                         for rs in raw_steps {
-                            steps.push(CachedStep {
+                            steps.push(WitnessStep {
                                 line: line_col(int_of(rs, "line")?, "step line")?,
                                 col: line_col(int_of(rs, "col")?, "step col")?,
                                 what: str_of(rs, "what")?,
                                 fact: str_of(rs, "fact")?,
                             });
                         }
-                        Some(CachedWitness::Trace(steps))
+                        Some(Witness::Trace(steps))
                     } else {
                         return Err("malformed witness".to_string());
                     }
                 }
             };
-            violations.push(CachedViolation {
+            violations.push(Violation {
                 method: str_of(rv, "method")?,
                 line: line_col(int_of(rv, "line")?, "line")?,
                 col: line_col(int_of(rv, "col")?, "col")?,
@@ -528,22 +435,8 @@ pub struct CacheStats {
     pub spill_hits: u64,
     /// Certificates loaded from disk at open time.
     pub loaded: u64,
-    /// Certificates copied in from other stores by [`CertCache::merge_from`].
-    pub merged: u64,
     /// Whether the on-disk file was corrupt (fully or partially dropped).
     pub recovered_from_corruption: bool,
-}
-
-/// Outcome of one [`CertCache::merge_from`] call.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct MergeStats {
-    /// Entries the donor held that the receiver did not: copied over.
-    pub merged: u64,
-    /// Entries both stores already held byte-identically: skipped.
-    pub duplicates: u64,
-    /// Keys held by both stores under *different* bytes (a fingerprint
-    /// collision or corruption): the receiver's entry wins.
-    pub conflicts: u64,
 }
 
 /// One hot-tier entry: the decoded certificate plus the exact store line
@@ -844,79 +737,6 @@ impl CertCache {
         lines
     }
 
-    /// Every certificate line currently held (hot tier plus spill), in
-    /// sorted key order — exactly the lines [`CertCache::persist`] would
-    /// write. The export is the store's merge interchange format: entries
-    /// are content-addressed, so a line is a self-contained certificate.
-    pub fn export_lines(&self) -> Vec<(Fingerprint, std::sync::Arc<str>)> {
-        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.sorted_lines(&inner).into_iter().map(|(k, l)| (Fingerprint(k), l)).collect()
-    }
-
-    /// Copies every certificate of `other` that this store does not
-    /// already hold. The merge is *lossless* — no entry of either store is
-    /// dropped — and *order-independent*: entries are content-addressed,
-    /// so a key present in both stores names the same certificate and the
-    /// duplicate is skipped, whichever store donated first. A key present
-    /// in both under *different* bytes is counted as a conflict (it can
-    /// be benign: a delta-seeded re-solve records different `work` for
-    /// the same verdict) and resolved deterministically in favor of the
-    /// lexicographically smaller line, keeping the merge commutative.
-    pub fn merge_from(&self, other: &CertCache) -> MergeStats {
-        // snapshot before taking our own lock: two stores merging into
-        // each other concurrently must not deadlock on crossed inner locks
-        let donor = other.export_lines();
-        let mut out = MergeStats::default();
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for (key, line) in donor {
-            let in_hot = self.hot.peek(key.0).map(|e| e.line);
-            let existing = in_hot.clone().or_else(|| inner.spill.get(&key.0).cloned());
-            if let Some(mine) = existing {
-                if *mine == *line {
-                    out.duplicates += 1;
-                } else {
-                    // Same key, different bytes. This is benign when two
-                    // runs solved the same cell along different paths (a
-                    // delta-seeded re-solve records different `work` than a
-                    // from-⊥ solve). Resolve deterministically — keep the
-                    // lexicographically smaller line — so merge is
-                    // commutative: merge(a, b) and merge(b, a) persist
-                    // byte-identical stores even under conflicts.
-                    out.conflicts += 1;
-                    if *line < *mine {
-                        if let Ok(report) = decode_line(&line) {
-                            if in_hot.is_some() {
-                                let cost = line_cost(&line);
-                                CACHE_BYTES.add(cost as u64);
-                                let entry = HotEntry { report, line: line.clone() };
-                                self.admit(&mut inner, key.0, entry, cost);
-                            }
-                            if inner.spill.contains_key(&key.0) {
-                                inner.spill.insert(key.0, line.clone());
-                            }
-                            inner.dirty = true;
-                        }
-                    }
-                }
-                continue;
-            }
-            // a decode failure is unreachable (the donor wrote that line
-            // itself); counted as a conflict rather than admitted blindly
-            let Ok(report) = decode_line(&line) else {
-                out.conflicts += 1;
-                continue;
-            };
-            let cost = line_cost(&line);
-            CACHE_MERGED.incr();
-            CACHE_BYTES.add(cost as u64);
-            self.admit(&mut inner, key.0, HotEntry { report, line: line.clone() }, cost);
-            inner.stats.merged += 1;
-            out.merged += 1;
-            inner.dirty = true;
-        }
-        out
-    }
-
     /// Number of certificates currently held (hot tier plus spill).
     pub fn len(&self) -> usize {
         let spill =
@@ -1014,28 +834,28 @@ mod tests {
             max_states: 1,
             exhausted: false,
             violations: vec![
-                CachedViolation {
+                Violation {
                     method: "Main.main".to_string(),
                     line: 10,
                     col: 21,
                     what: "i1.next()".to_string(),
-                    witness: Some(CachedWitness::Trace(vec![CachedStep {
+                    witness: Some(Witness::Trace(vec![WitnessStep {
                         line: 9,
                         col: 9,
                         what: "v.add(\"x\")".to_string(),
                         fact: "stale{i1}".to_string(),
                     }])),
                 },
-                CachedViolation {
+                Violation {
                     method: "Main.main".to_string(),
                     line: 13,
                     col: 21,
                     what: "i1.next()".to_string(),
-                    witness: Some(CachedWitness::Unavailable(
-                        "the TVLA engines do not record provenance".to_string(),
+                    witness: Some(Witness::Unavailable(
+                        "the TVLA engines do not record provenance",
                     )),
                 },
-                CachedViolation {
+                Violation {
                     method: "Main.main".to_string(),
                     line: 14,
                     col: 1,
@@ -1070,6 +890,7 @@ mod tests {
             let back =
                 CachedReport::from_json(&Json::parse(&line).expect("parses")).expect("decodes");
             assert_eq!(back, r);
+            assert_eq!(back.to_json().render_compact(), line);
         }
     }
 
@@ -1080,6 +901,12 @@ mod tests {
         assert!(!line.contains('\n'));
         let back = CachedReport::from_json(&Json::parse(&line).expect("parses")).expect("decodes");
         assert_eq!(back, r);
+        // `Violation` equality ignores witnesses: the line must match too
+        assert_eq!(back.to_json().render_compact(), line);
+        let witnesses: Vec<Option<Witness>> =
+            back.violations.into_iter().map(|v| v.witness).collect();
+        let want: Vec<Option<Witness>> = r.violations.into_iter().map(|v| v.witness).collect();
+        assert_eq!(witnesses, want);
     }
 
     #[test]
@@ -1091,6 +918,7 @@ mod tests {
         assert_eq!(report.lines(), vec![10, 13, 14]);
         let back = CachedReport::from_report(&report, None).expect("complete");
         assert_eq!(back, cached);
+        assert_eq!(back.to_json().render_compact(), cached.to_json().render_compact());
     }
 
     #[test]
@@ -1101,18 +929,13 @@ mod tests {
 
     #[test]
     fn unknown_unavailable_reasons_degrade_to_the_generic_static() {
-        let cached = CachedReport {
-            violations: vec![CachedViolation {
-                method: "M.m".to_string(),
-                line: 1,
-                col: 1,
-                what: "x".to_string(),
-                witness: Some(CachedWitness::Unavailable("made-up reason".to_string())),
-            }],
-            ..sample()
-        };
-        let report = cached.to_report(Engine::ScmpFds);
-        match &report.violations[0].witness {
+        let line = sample()
+            .to_json()
+            .render_compact()
+            .replace("the TVLA engines do not record provenance", "made-up reason");
+        let cached =
+            CachedReport::from_json(&Json::parse(&line).expect("parses")).expect("decodes");
+        match &cached.to_report(Engine::ScmpFds).violations[1].witness {
             Some(Witness::Unavailable(reason)) => {
                 assert_eq!(*reason, "witness detail not retained by the certificate cache");
             }
@@ -1250,56 +1073,6 @@ mod tests {
         assert_eq!(cache.stats().evictions, 0, "load placement is not an eviction");
         assert!(cache.memory_bytes() <= budget);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn merge_is_lossless_and_order_independent() {
-        let sample2 = CachedReport { work: 999, ..sample() };
-        let build = |keys: &[(u64, &CachedReport)]| {
-            let c = CertCache::in_memory();
-            for (k, r) in keys {
-                c.store(Fingerprint(*k), (*r).clone());
-            }
-            c
-        };
-        let render = |c: &CertCache| {
-            c.export_lines()
-                .into_iter()
-                .map(|(k, l)| format!("{k} {l}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        // overlapping stores: 1,2 vs 2,3 (key 2 identical in both)
-        let ab = build(&[(1, &sample()), (2, &sample2)]);
-        let stats = ab.merge_from(&build(&[(2, &sample2), (3, &sample())]));
-        assert_eq!(stats, MergeStats { merged: 1, duplicates: 1, conflicts: 0 });
-        let ba = build(&[(2, &sample2), (3, &sample())]);
-        ba.merge_from(&build(&[(1, &sample()), (2, &sample2)]));
-        assert_eq!(render(&ab), render(&ba), "merge must be order-independent");
-        assert_eq!(ab.len(), 3);
-        // every cell answerable from either input is answerable post-merge
-        for k in [1, 2, 3] {
-            assert!(ab.lookup(Fingerprint(k), &format!("M.m{k}"), false, "scmp-fds").is_some());
-        }
-        assert_eq!(ab.stats().merged, 1);
-        // a colliding key under different bytes: counted as a conflict and
-        // resolved to the lexicographically smaller line on both merge
-        // orders, so even conflicted merges stay commutative
-        let x = build(&[(7, &sample())]);
-        let conflict = x.merge_from(&build(&[(7, &sample2)]));
-        assert_eq!(conflict, MergeStats { merged: 0, duplicates: 0, conflicts: 1 });
-        let y = build(&[(7, &sample2)]);
-        let conflict = y.merge_from(&build(&[(7, &sample())]));
-        assert_eq!(conflict, MergeStats { merged: 0, duplicates: 0, conflicts: 1 });
-        assert_eq!(render(&x), render(&y), "conflict resolution must be order-independent");
-        // `sample()`'s line happens to be the smaller one ("work":345 <
-        // "work":999), so both stores converge on it
-        for c in [&x, &y] {
-            assert_eq!(
-                c.lookup(Fingerprint(7), "M.c", false, "scmp-fds").map(|r| r.work),
-                Some(sample().work)
-            );
-        }
     }
 
     #[test]

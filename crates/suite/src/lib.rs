@@ -24,4 +24,4 @@ pub mod oracle;
 pub mod threads;
 
 pub use corpus::{corpus, Benchmark, SpecKind};
-pub use threads::worker_count;
+pub use threads::{claim_each, worker_count, Claimed};

@@ -49,12 +49,12 @@
 //! `canvas fleet gen` materializes a deterministic, seed-parameterized
 //! synthetic corpus (with a `canvas-fleet-manifest/1` manifest recording
 //! per-file fingerprints and ground truth); it refuses an existing output
-//! directory without `--force`. `canvas fleet run` certifies a corpus
-//! across sharded, work-stealing workers — in-process by default, or
-//! against `canvas serve --listen` backends with `--backend` — merging the
-//! per-shard certificate caches losslessly into `--cache-dir` at the end,
-//! and prints the aggregated fleet report (`--report` also writes it as
-//! `canvas-bench-eval/2` JSON).
+//! directory without `--force`. `canvas fleet run` certifies a corpus on
+//! `--shards` workers that claim programs from one queue — in-process by
+//! default, through one certificate store they all share (opened from and
+//! persisted to `--cache-dir` when given), or against `canvas serve
+//! --listen` backends with `--backend` — and prints the aggregated fleet
+//! report (`--report` also writes it as `canvas-bench-eval/2` JSON).
 //!
 //! Every verb reads its options through one parser: an option the verb has
 //! no use for is a usage error, like an unknown one.
@@ -376,9 +376,9 @@ fn fleet_gen(o: &Opts) -> Result<ExitCode, CanvasError> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `canvas fleet run`: certifies a corpus across sharded workers (local
-/// process pool or `canvas serve --listen` backends) with merged
-/// certificate caches.
+/// `canvas fleet run`: certifies a corpus on parallel workers (in-process,
+/// sharing one certificate store, or against `canvas serve --listen`
+/// backends).
 fn fleet_run(o: Opts) -> Result<ExitCode, CanvasError> {
     use canvas_fleet::{driver, manifest};
     let corpus = o.corpus.ok_or_else(|| CanvasError::usage("fleet run needs --corpus DIR"))?;

@@ -412,7 +412,8 @@ fn every_injected_fault_is_contained_with_its_exit_code() {
 /// The fleet pipeline end to end at `programs` programs: generation is
 /// deterministic across thread counts, a cold 4-shard run certifies the
 /// corpus (seeded with violations, so exit 1) with nothing poisoned, dead
-/// or mistaken, and a warm run answers every cell from the merged store and
+/// or mistaken, a cold 1-shard run into a second store persists the same
+/// certificate keys, and a warm run answers every cell from the store and
 /// reproduces the cold corpus digest.
 fn fleet_generates_certifies_and_rewarms(name: &str, programs: usize) {
     let dir = scratch(name);
@@ -437,6 +438,21 @@ fn fleet_generates_certifies_and_rewarms(name: &str, programs: usize) {
         1,
         &format!("0 poisoned programs, 0 dead shards, 0 truth mismatches ({n} checked)"),
     );
+    // which worker solves a cell depends on the schedule; which cells the
+    // store ends up holding does not
+    let one = ["fleet", "run", "--corpus", "one.corpus", "--shards", "1", "--cache-dir", "store1"];
+    canvas(&dir, &one, "", &[]).expect(1, "0 poisoned programs, 0 dead shards");
+    let keys = |store: &str| -> Vec<String> {
+        let text = std::fs::read_to_string(dir.join(store).join("certs.v2")).expect("a store");
+        let mut keys: Vec<String> =
+            text.lines().skip(1).filter_map(|l| Some(l.split_once(' ')?.0.to_string())).collect();
+        keys.sort_unstable();
+        keys
+    };
+    let four = keys("store");
+    assert!(!four.is_empty(), "the cold run persisted certificates");
+    assert_eq!(four, keys("store1"), "4-shard and 1-shard stores hold different keys");
+
     let warm = canvas(&dir, &run, "", &[]);
     let hits: u64 = field(&warm.stdout, "cache: ").parse().expect("a hit count");
     warm.expect(1, &format!("cache: {hits} hits, 0 misses, 0 delta-seeded"));
