@@ -74,7 +74,9 @@ pub struct BoolProgram {
     pub entry: usize,
     /// Edges with parallel assignments.
     pub edges: Vec<BoolEdge>,
-    /// `requires` check sites.
+    /// `requires` check sites at the nodes a path from [`BoolProgram::entry`]
+    /// reaches. A check no path reaches never fires, so the transform drops
+    /// it: every engine and the checker read this one list.
     pub checks: Vec<CheckSite>,
     /// Predicates unknown at entry (instances over parameters and statics
     /// when the method is analysed out of context).
@@ -93,6 +95,39 @@ impl BoolProgram {
     /// per summary fact per call edge, so it must not scan).
     pub fn instance(&self, family: FamilyId, args: &[VarId]) -> Option<Operand> {
         self.instances.get(family, args.iter().map(|&v| Some(v)))
+    }
+
+    /// Which nodes some path from [`BoolProgram::entry`] reaches, indexed by
+    /// node id.
+    pub fn reachable(&self) -> Vec<bool> {
+        let n = self.node_count;
+        // out-edges in CSR form: node k's successors are
+        // `succ[start[k]..start[k + 1]]`
+        let mut start = vec![0usize; n + 1];
+        for e in &self.edges {
+            start[e.from + 1] += 1;
+        }
+        for k in 0..n {
+            start[k + 1] += start[k];
+        }
+        let mut next = start.clone();
+        let mut succ = vec![0usize; self.edges.len()];
+        for e in &self.edges {
+            succ[next[e.from]] = e.to;
+            next[e.from] += 1;
+        }
+        let mut reached = vec![false; n];
+        reached[self.entry] = true;
+        let mut work = vec![self.entry];
+        while let Some(k) = work.pop() {
+            for &s in &succ[start[k]..start[k + 1]] {
+                if !reached[s] {
+                    reached[s] = true;
+                    work.push(s);
+                }
+            }
+        }
+        reached
     }
 
     /// A human-readable name for predicate `i`, e.g. `stale{i1}`.
@@ -310,7 +345,7 @@ impl<'a> Builder<'a> {
             }
         }
 
-        BoolProgram {
+        let mut bp = BoolProgram {
             method: self.method.id,
             preds: self.preds,
             node_count: self.method.cfg.node_count(),
@@ -319,7 +354,12 @@ impl<'a> Builder<'a> {
             checks,
             entry_unknown,
             instances: self.instances,
+        };
+        if !bp.checks.is_empty() {
+            let reached = bp.reachable();
+            bp.checks.retain(|c| reached[c.node]);
         }
+        bp
     }
 
     /// Fills `fid`'s row: every type-correct tuple in row order (the last

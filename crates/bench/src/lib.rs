@@ -1021,7 +1021,7 @@ pub fn incremental_table() -> Vec<IncrPhase> {
     for engine in Engine::all() {
         for (phase, program) in [("cold", &base), ("warm", &base), ("edited", &edited)] {
             let start = Instant::now();
-            let run = inc.certify_program_cached_with_stats(program, engine);
+            let run = inc.certify_program_cached(program, engine);
             let time = start.elapsed();
             let row = match run {
                 Ok((report, stats)) => {

@@ -273,21 +273,7 @@ fn replay_may_one(
         }
     }
 
-    let mut reached = vec![false; bp.node_count];
-    reached[bp.entry] = true;
-    let mut work = vec![bp.entry];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); bp.node_count];
-    for e in &bp.edges {
-        succs[e.from].push(e.to);
-    }
-    while let Some(n) = work.pop() {
-        for &s in &succs[n] {
-            if !reached[s] {
-                reached[s] = true;
-                work.push(s);
-            }
-        }
-    }
+    let reached = bp.reachable();
 
     let mut out = val_new(width); // reused across edges: one allocation total
     for e in &bp.edges {
@@ -417,7 +403,9 @@ fn replay_relational(
 
 /// Evaluates every `requires` check site against the replayed solution,
 /// mirroring the engines' violation semantics: a site fires when any of its
-/// guarding operands may be 1 (constant-true fires unconditionally).
+/// guarding operands may be 1 (constant-true fires unconditionally). The
+/// transform keeps only the sites a path from the entry reaches, for the
+/// engines and this replay alike.
 fn implied_violations(
     program: &Program,
     bp: &BoolProgram,

@@ -13,82 +13,9 @@ use canvas_faults::Budget;
 use canvas_minijava::{MethodIr, Program};
 use canvas_wp::{derive_abstraction, DeriveError, Derived};
 
-use crate::engine::{registry, AnalysisEngine, MethodContext, PreparedProgram, SharedTransforms};
+use crate::engine::{Engine, MethodContext, PreparedProgram, SharedTransforms};
 use crate::error::panic_message;
 use crate::report::Report;
-
-/// The available certification engines (paper §3–§8) with their
-/// time/space/precision tradeoffs. The default is the paper's specialized
-/// certifier, [`Engine::ScmpFds`].
-#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug)]
-pub enum Engine {
-    /// Specialized nullary abstraction + polynomial may-be-1 dataflow (§4.3).
-    #[default]
-    ScmpFds,
-    /// Specialized nullary abstraction + exponential relational dataflow.
-    ScmpRelational,
-    /// Context-sensitive interprocedural SCMP certification (§8).
-    ScmpInterproc,
-    /// First-order predicate abstraction + TVLA engine, set of structures
-    /// per point (§5, relational mode).
-    TvlaRelational,
-    /// First-order predicate abstraction + TVLA engine, one structure per
-    /// point (§5, independent-attribute mode).
-    TvlaIndependent,
-    /// Generic composite-program translation + shape-graph analysis
-    /// (§3/§4.4 baseline), relational mode.
-    GenericSsgRelational,
-    /// The shape-graph baseline in independent-attribute mode.
-    GenericSsgIndependent,
-    /// Generic allocation-site must-alias baseline (§3).
-    GenericAllocSite,
-}
-
-impl Engine {
-    /// All engines, in evaluation-table order (the [`registry`] order).
-    pub fn all() -> Vec<Engine> {
-        registry().iter().map(|e| e.id()).collect()
-    }
-
-    /// Looks an engine up by its full name (e.g. `scmp-fds`).
-    pub fn by_name(name: &str) -> Option<Engine> {
-        registry().iter().find(|e| e.name() == name).map(|e| e.id())
-    }
-
-    /// Whether the engine uses the derived specialized abstraction.
-    pub fn specialized(self) -> bool {
-        self.info().specialized()
-    }
-
-    /// Short column label for the wide evaluation tables, e.g. `fds`.
-    pub fn abbrev(self) -> &'static str {
-        self.info().abbrev()
-    }
-
-    /// Why this engine cannot emit a replayable certificate, or `None` for
-    /// the engines whose fixpoint solutions `canvas-check` can replay.
-    pub fn certificate_unsupported(self) -> Option<&'static str> {
-        self.info().certificate_unsupported()
-    }
-
-    /// The registry entry backing this id.
-    // the registry is a static table covering every variant; a miss is a
-    // compile-time-shaped bug, not an input-dependent condition
-    #[allow(clippy::expect_used)]
-    fn info(self) -> &'static dyn AnalysisEngine {
-        registry()
-            .iter()
-            .copied()
-            .find(|e| e.id() == self)
-            .expect("every Engine variant is registered")
-    }
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.info().name())
-    }
-}
 
 /// Certification failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -273,7 +200,10 @@ impl Certifier {
     /// [`CertifyError::StateBudget`] when a relational engine blows up.
     pub fn certify(&self, program: &Program, engine: Engine) -> Result<Report, CertifyError> {
         let main = program.main_method().ok_or(CertifyError::NoMain)?;
-        self.certify_method(program, main, engine, EntryAssumption::Clean)
+        let shared = SharedTransforms::new();
+        Ok(self
+            .certify_method_shared(program, main, engine, EntryAssumption::Clean, &shared, None)?
+            .0)
     }
 
     /// Whole-program certification: the interprocedural engine analyses the
@@ -311,40 +241,6 @@ impl Certifier {
         })
     }
 
-    /// Inlines every client call into `main` (non-recursive programs only)
-    /// and certifies the resulting single-procedure program — this gives the
-    /// intraprocedural engines (notably TVLA, §5) whole-program precision.
-    ///
-    /// # Errors
-    ///
-    /// Fails on recursive programs, on inlining blow-up, or as
-    /// [`Certifier::certify`].
-    pub fn certify_inlined(
-        &self,
-        program: &Program,
-        engine: Engine,
-    ) -> Result<Report, CertifyError> {
-        let inlined = canvas_minijava::inline::inline_main(program, 100_000)?;
-        self.certify(&inlined, engine)
-    }
-
-    /// Certifies a single method under an explicit entry assumption (used
-    /// for out-of-context method certification).
-    ///
-    /// # Errors
-    ///
-    /// As [`Certifier::certify`].
-    pub fn certify_method(
-        &self,
-        program: &Program,
-        method: &MethodIr,
-        engine: Engine,
-        entry: EntryAssumption,
-    ) -> Result<Report, CertifyError> {
-        let shared = SharedTransforms::new();
-        Ok(self.certify_method_shared(program, method, engine, entry, &shared, None)?.0)
-    }
-
     /// Certifies one method under `entry`, reusing `shared`'s transform
     /// caches (engines analysing the same `(method, entry)` pair compute
     /// the boolean program and the TVP translations only once). Returns the
@@ -378,19 +274,7 @@ impl Certifier {
                 "certify",
             )
         });
-        let cx = MethodContext {
-            program,
-            method,
-            spec: &self.spec,
-            derived: &self.derived,
-            entry,
-            relational_budget: self.relational_budget,
-            tvla_budget: self.tvla_budget,
-            budget: self.budget,
-            explain: self.explain,
-            shared,
-            fds_seed,
-        };
+        let cx = MethodContext { certifier: self, program, method, entry, shared, fds_seed };
         // Isolation layer: a panicking engine must not take down the caller
         // (one method of one suite case, or one request of a service). The
         // panic surfaces as a structured `CertifyError::Panicked` instead.
@@ -399,7 +283,7 @@ impl Certifier {
         let _solve_phase = canvas_telemetry::phase::SOLVE.span();
         let run = catch_unwind(AssertUnwindSafe(|| {
             canvas_faults::solver_abort();
-            engine.info().run(&cx)
+            crate::engine::run(engine, &cx)
         }));
         let (mut report, solution) = match run {
             Ok(result) => result?,
@@ -673,8 +557,16 @@ class Main {
         )
         .unwrap();
         let m = program.method_named("A.m").unwrap();
+        let shared = SharedTransforms::new();
         let err = c
-            .certify_method(&program, m, Engine::ScmpRelational, EntryAssumption::Unknown)
+            .certify_method_shared(
+                &program,
+                m,
+                Engine::ScmpRelational,
+                EntryAssumption::Unknown,
+                &shared,
+                None,
+            )
             .unwrap_err();
         assert!(matches!(err, CertifyError::StateBudget { .. }));
     }

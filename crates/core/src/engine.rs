@@ -1,8 +1,9 @@
-//! The engine abstraction: every certification engine implements
-//! [`AnalysisEngine`], and the static [`registry`] is the single source of
-//! truth for the engine list — the CLI's `canvas engines`, the evaluation
-//! tables, and the benches all iterate it, so adding an engine means adding
-//! one impl and one registry entry.
+//! The engine table: [`Engine`] names every certification engine, and each
+//! of its properties — name, column label, abstraction, certificate support,
+//! the analysis itself — is one exhaustive `match` over it, so adding an
+//! engine means adding one variant and letting the compiler list the arms
+//! still to write. The CLI's `canvas engines`, the evaluation tables, and the
+//! benches all iterate [`Engine::all`].
 //!
 //! Engines that analyse the same method share the expensive front-end
 //! transforms (boolean program, specialized TVP, generic TVP) through
@@ -10,17 +11,16 @@
 //! later engines reuse it. The caches are [`OnceLock`]s so a prepared method
 //! can be handed to several worker threads at once.
 
+use std::fmt;
 use std::sync::OnceLock;
 
 use canvas_abstraction::{transform_method, BoolProgram, CellSolution, EntryAssumption};
 use canvas_dataflow::fds;
-use canvas_easl::Spec;
-use canvas_faults::{Budget, Meter};
+use canvas_faults::{Exhaustion, Meter};
 use canvas_minijava::{MethodIr, Program};
 use canvas_tvla::TvpProgram;
-use canvas_wp::Derived;
 
-use crate::certifier::{CertifyError, Engine};
+use crate::certifier::{Certifier, CertifyError};
 use crate::report::{Report, Stats, Violation, Witness, WitnessStep};
 
 // Which engine wins the `OnceLock` init race depends on worker scheduling,
@@ -29,6 +29,124 @@ static PREPARED_CACHE_HITS: canvas_telemetry::Counter =
     canvas_telemetry::Counter::non_deterministic("core.prepared_cache_hits");
 static PREPARED_CACHE_MISSES: canvas_telemetry::Counter =
     canvas_telemetry::Counter::non_deterministic("core.prepared_cache_misses");
+
+/// The available certification engines (paper §3–§8) with their
+/// time/space/precision tradeoffs. The default is the paper's specialized
+/// certifier, [`Engine::ScmpFds`].
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug)]
+pub enum Engine {
+    /// Specialized nullary abstraction + polynomial may-be-1 dataflow (§4.3).
+    #[default]
+    ScmpFds,
+    /// Specialized nullary abstraction + exponential relational dataflow.
+    ScmpRelational,
+    /// Context-sensitive interprocedural SCMP certification (§8).
+    ScmpInterproc,
+    /// First-order predicate abstraction + TVLA engine, set of structures
+    /// per point (§5, relational mode).
+    TvlaRelational,
+    /// First-order predicate abstraction + TVLA engine, one structure per
+    /// point (§5, independent-attribute mode).
+    TvlaIndependent,
+    /// Generic composite-program translation + shape-graph analysis
+    /// (§3/§4.4 baseline), relational mode.
+    GenericSsgRelational,
+    /// The shape-graph baseline in independent-attribute mode.
+    GenericSsgIndependent,
+    /// Generic allocation-site must-alias baseline (§3).
+    GenericAllocSite,
+}
+
+/// Every engine, in evaluation-table order.
+const ALL: [Engine; 8] = [
+    Engine::ScmpFds,
+    Engine::ScmpRelational,
+    Engine::ScmpInterproc,
+    Engine::TvlaRelational,
+    Engine::TvlaIndependent,
+    Engine::GenericSsgRelational,
+    Engine::GenericSsgIndependent,
+    Engine::GenericAllocSite,
+];
+
+impl Engine {
+    /// All engines, in evaluation-table order.
+    pub fn all() -> Vec<Engine> {
+        ALL.to_vec()
+    }
+
+    /// Looks an engine up by its full name (e.g. `scmp-fds`).
+    pub fn by_name(name: &str) -> Option<Engine> {
+        ALL.into_iter().find(|e| e.name() == name)
+    }
+
+    /// Full name, e.g. `scmp-fds` (used by the CLI, reports and
+    /// certificates).
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::ScmpFds => "scmp-fds",
+            Engine::ScmpRelational => "scmp-relational",
+            Engine::ScmpInterproc => "scmp-interproc",
+            Engine::TvlaRelational => "tvla-relational",
+            Engine::TvlaIndependent => "tvla-independent",
+            Engine::GenericSsgRelational => "generic-ssg-relational",
+            Engine::GenericSsgIndependent => "generic-ssg-independent",
+            Engine::GenericAllocSite => "generic-allocsite",
+        }
+    }
+
+    /// Short column label for the wide evaluation tables, e.g. `fds`.
+    pub fn abbrev(self) -> &'static str {
+        match self {
+            Engine::ScmpFds => "fds",
+            Engine::ScmpRelational => "rel",
+            Engine::ScmpInterproc => "inter",
+            Engine::TvlaRelational => "tvla-r",
+            Engine::TvlaIndependent => "tvla-i",
+            Engine::GenericSsgRelational => "ssg-r",
+            Engine::GenericSsgIndependent => "ssg-i",
+            Engine::GenericAllocSite => "alloc",
+        }
+    }
+
+    /// Whether the engine uses the derived specialized abstraction.
+    pub fn specialized(self) -> bool {
+        match self {
+            Engine::ScmpFds
+            | Engine::ScmpRelational
+            | Engine::ScmpInterproc
+            | Engine::TvlaRelational
+            | Engine::TvlaIndependent => true,
+            Engine::GenericSsgRelational
+            | Engine::GenericSsgIndependent
+            | Engine::GenericAllocSite => false,
+        }
+    }
+
+    /// Why this engine cannot emit a replayable certificate, or `None` for
+    /// the engines whose fixpoint solutions `canvas-check` can replay (the
+    /// boolean SCMP engines). The reason is recorded in the certificate as
+    /// an `unavailable` cell, which the checker rejects as uncheckable.
+    pub fn certificate_unsupported(self) -> Option<&'static str> {
+        match self {
+            Engine::ScmpFds | Engine::ScmpRelational => None,
+            Engine::ScmpInterproc
+            | Engine::TvlaRelational
+            | Engine::TvlaIndependent
+            | Engine::GenericSsgRelational
+            | Engine::GenericSsgIndependent
+            | Engine::GenericAllocSite => {
+                Some("engine does not emit a replayable fixpoint solution")
+            }
+        }
+    }
+}
+
+impl fmt::Display for Engine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// Lazily computed front-end transforms for one `(method, entry)` pair,
 /// shared by every engine that analyses that method.
@@ -81,71 +199,55 @@ impl PreparedProgram {
     }
 }
 
-/// Everything an engine needs to analyse one method: the client, the spec
-/// and its derived abstraction, the entry assumption, the state budgets, and
-/// the shared transform cache.
-pub struct MethodContext<'a> {
-    /// The parsed client.
-    pub program: &'a Program,
-    /// The method under analysis.
-    pub method: &'a MethodIr,
-    /// The component specification.
-    pub spec: &'a Spec,
-    /// The derived abstraction for the spec.
-    pub derived: &'a Derived,
-    /// Entry-state assumption (clean `main` vs out-of-context method).
-    pub entry: EntryAssumption,
-    /// State budget for the relational boolean engine.
-    pub relational_budget: usize,
-    /// Structure budget for the TVLA engines.
-    pub tvla_budget: usize,
-    /// Shared resource governor budget (steps, deadline, states). Unlimited
-    /// by default; exhaustion degrades the report to an inconclusive
-    /// verdict.
-    pub budget: Budget,
-    /// Whether to record provenance and attach witness traces to the
-    /// violations (slower solve paths; off for plain certification).
-    pub explain: bool,
-    /// Shared transform cache for this `(method, entry)` pair.
-    pub shared: &'a SharedTransforms,
+/// Everything an engine needs to analyse one method: the certifier (spec,
+/// derived abstraction, budgets, explain mode), the client and method, the
+/// entry assumption, and the shared transform cache.
+pub(crate) struct MethodContext<'a> {
+    pub(crate) certifier: &'a Certifier,
+    pub(crate) program: &'a Program,
+    pub(crate) method: &'a MethodIr,
+    pub(crate) entry: EntryAssumption,
+    pub(crate) shared: &'a SharedTransforms,
     /// A cached FDS solution of an earlier version of this method, for
     /// within-method delta re-solve ([`canvas_dataflow::delta`]). Only the
     /// FDS engine consumes it; `None` means cold solve.
-    pub fds_seed: Option<&'a canvas_dataflow::DeltaSeed>,
+    pub(crate) fds_seed: Option<&'a canvas_dataflow::DeltaSeed>,
 }
 
 impl MethodContext<'_> {
     /// The boolean program for this method (computed once, shared by the
     /// FDS and relational SCMP engines).
-    pub fn boolprog(&self) -> &BoolProgram {
+    fn boolprog(&self) -> &BoolProgram {
         if self.shared.boolprog.get().is_some() {
             PREPARED_CACHE_HITS.incr();
         }
         self.shared.boolprog.get_or_init(|| {
             PREPARED_CACHE_MISSES.incr();
-            transform_method(self.program, self.method, self.spec, self.derived, self.entry)
+            let c = self.certifier;
+            transform_method(self.program, self.method, c.spec(), c.derived(), self.entry)
         })
     }
 
     /// The specialized TVP translation (shared by both TVLA modes).
-    pub fn tvp_specialized(&self) -> &TvpProgram {
+    fn tvp_specialized(&self) -> &TvpProgram {
         if self.shared.tvp_specialized.get().is_some() {
             PREPARED_CACHE_HITS.incr();
         }
         self.shared.tvp_specialized.get_or_init(|| {
             PREPARED_CACHE_MISSES.incr();
-            canvas_tvla::translate_specialized(self.program, self.method, self.spec, self.derived)
+            let c = self.certifier;
+            canvas_tvla::translate_specialized(self.program, self.method, c.spec(), c.derived())
         })
     }
 
     /// The generic shape-graph TVP translation (shared by both SSG modes).
-    pub fn tvp_generic(&self) -> &TvpProgram {
+    fn tvp_generic(&self) -> &TvpProgram {
         if self.shared.tvp_generic.get().is_some() {
             PREPARED_CACHE_HITS.incr();
         }
         self.shared.tvp_generic.get_or_init(|| {
             PREPARED_CACHE_MISSES.incr();
-            canvas_tvla::translate_generic(self.program, self.method, self.spec)
+            canvas_tvla::translate_generic(self.program, self.method, self.certifier.spec())
         })
     }
 
@@ -167,7 +269,7 @@ impl MethodContext<'_> {
         site: &canvas_minijava::Site,
         reason: &'static str,
     ) -> Violation {
-        let witness = self.explain.then_some(Witness::Unavailable(reason));
+        let witness = self.certifier.explain().then_some(Witness::Unavailable(reason));
         Violation { witness, ..self.violation(site) }
     }
 
@@ -205,41 +307,45 @@ impl MethodContext<'_> {
     }
 }
 
-/// One certification engine: an id for tables and reports, display strings,
-/// and the analysis itself.
-pub trait AnalysisEngine: Sync {
-    /// The engine's id (the [`Engine`] enum variant).
-    fn id(&self) -> Engine;
-    /// Full name, e.g. `scmp-fds` (used by the CLI and reports).
-    fn name(&self) -> &'static str;
-    /// Short column label for the wide evaluation tables, e.g. `fds`.
-    fn abbrev(&self) -> &'static str;
-    /// Whether the engine uses the derived specialized abstraction.
-    fn specialized(&self) -> bool {
-        true
-    }
-    /// Analyses one method and reports the potential violations, plus the
-    /// fixpoint solution as a certificate payload when the engine can
-    /// express one.
-    ///
-    /// Only the boolean SCMP engines (FDS, relational) return a solution.
-    /// `None` also covers inconclusive runs: a budget-tripped fixpoint is
-    /// not a post-fixpoint and must not be shipped as one. When the shared
-    /// resource governor (`cx.budget`) trips, engines return `Ok` with an
-    /// inconclusive report rather than an error: degraded, not broken.
-    ///
-    /// # Errors
-    ///
-    /// [`CertifyError::StateBudget`] when a relational engine exceeds its
-    /// own state budget; engines must not fail otherwise.
-    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError>;
+/// One engine's analysis of one method: the report, plus the fixpoint
+/// solution as a certificate payload when the engine can express one.
+type EngineRun = Result<(Report, Option<CellSolution>), CertifyError>;
 
-    /// When [`AnalysisEngine::run`] never produces a solution, the
-    /// human-readable reason (recorded in the certificate as an
-    /// `unavailable` cell, which the checker rejects as uncheckable).
-    fn certificate_unsupported(&self) -> Option<&'static str> {
-        Some("engine does not emit a replayable fixpoint solution")
+/// Analyses one method with `engine` under the shared resource governor.
+///
+/// Only the boolean SCMP engines (FDS, relational) return a solution.
+/// `None` also covers inconclusive runs: a budget-tripped fixpoint is not a
+/// post-fixpoint and must not be shipped as one. When the governor trips,
+/// an engine returns `Ok` with an inconclusive report rather than an error:
+/// degraded, not broken.
+///
+/// # Errors
+///
+/// [`CertifyError::StateBudget`] when the relational engine exceeds its own
+/// state budget; engines fail in no other way.
+pub(crate) fn run(engine: Engine, cx: &MethodContext<'_>) -> EngineRun {
+    use canvas_tvla::EngineMode::{IndependentAttribute, Relational};
+    let gov = Meter::new(cx.certifier.budget());
+    match engine {
+        Engine::ScmpFds => run_fds(cx, &gov),
+        Engine::ScmpRelational => run_relational(cx, &gov),
+        Engine::ScmpInterproc => run_interproc(cx, &gov),
+        Engine::TvlaRelational => run_tvla(cx, &gov, engine, cx.tvp_specialized(), Relational),
+        Engine::TvlaIndependent => {
+            run_tvla(cx, &gov, engine, cx.tvp_specialized(), IndependentAttribute)
+        }
+        Engine::GenericSsgRelational => run_tvla(cx, &gov, engine, cx.tvp_generic(), Relational),
+        Engine::GenericSsgIndependent => {
+            run_tvla(cx, &gov, engine, cx.tvp_generic(), IndependentAttribute)
+        }
+        Engine::GenericAllocSite => run_allocsite(cx, &gov),
     }
+}
+
+/// The inconclusive run of an engine whose governor tripped.
+fn exhausted(engine: Engine, ex: Exhaustion, predicates: usize) -> EngineRun {
+    let stats = Stats { predicates, exhausted: true, ..Stats::default() };
+    Ok((Report::inconclusive(engine, ex.reason(), stats), None))
 }
 
 /// The set bits of a boolean-program state, as the certificate's sorted
@@ -248,361 +354,133 @@ fn solution_bits(bs: &canvas_dataflow::BitSet, width: usize) -> Vec<u32> {
     (0..width).filter(|&k| bs.get(k)).map(|k| k as u32).collect()
 }
 
-/// All engines, in evaluation-table order.
-pub fn registry() -> &'static [&'static dyn AnalysisEngine] {
-    REGISTRY
-}
-
-static REGISTRY: &[&dyn AnalysisEngine] = &[
-    &ScmpFdsEngine,
-    &ScmpRelationalEngine,
-    &ScmpInterprocEngine,
-    &TvlaRelationalEngine,
-    &TvlaIndependentEngine,
-    &GenericSsgRelationalEngine,
-    &GenericSsgIndependentEngine,
-    &GenericAllocSiteEngine,
-];
-
 /// Specialized nullary abstraction + polynomial may-be-1 dataflow (§4.3).
-struct ScmpFdsEngine;
-
-impl AnalysisEngine for ScmpFdsEngine {
-    fn id(&self) -> Engine {
-        Engine::ScmpFds
-    }
-
-    fn name(&self) -> &'static str {
-        "scmp-fds"
-    }
-
-    fn abbrev(&self) -> &'static str {
-        "fds"
-    }
-
-    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
-        let bp = cx.boolprog();
-        let gov = Meter::new(cx.budget);
-        let inconclusive = |ex: canvas_faults::Exhaustion| {
-            Report::inconclusive(
-                self.id(),
-                ex.reason(),
-                Stats { predicates: bp.preds.len(), exhausted: true, ..Stats::default() },
-            )
-        };
-        // within-method delta re-solve: seed from the cached solution when
-        // one is available and nothing can perturb the outcome. A
-        // constrained governor could trip at a different point than a cold
-        // solve, changing the exhaustion verdict; and a carried seed has no
-        // provenance, so explained runs always solve cold (witness traces
-        // must match the uncached path).
-        let seeded = match cx.fds_seed {
-            Some(seed) if cx.budget.is_unlimited() && !cx.explain => {
-                canvas_dataflow::delta::analyze_delta(bp, seed, &gov)
-            }
-            Some(_) => {
-                canvas_dataflow::delta::note_fallback();
-                Ok(None)
-            }
-            None => Ok(None),
-        };
-        let solved = seeded.and_then(|res| match res {
-            Some(res) => Ok((res, None)),
-            None => fds::solve(bp, &gov, cx.explain),
-        });
-        let (res, prov) = match solved {
-            Ok(pair) => pair,
-            Err(ex) => return Ok((inconclusive(ex), None)),
-        };
-        let violations = fds::violations(
-            bp,
-            |n, p| res.get(n, p),
-            prov.as_ref().map(|p| (p, cx.program, cx.derived)),
-        );
-        let solution =
-            CellSolution::MayOne { nodes: (0..bp.node_count).map(|r| res.row_ones(r)).collect() };
-        let report = Report {
-            engine: self.id(),
-            violations: violations.iter().map(|v| cx.violation_witnessed(v)).collect(),
-            stats: Stats {
-                predicates: bp.preds.len(),
-                work: res.edge_visits,
-                max_states: 1,
-                ..Stats::default()
-            },
-            verdict: Default::default(),
-        };
-        Ok((report, Some(solution)))
-    }
-
-    fn certificate_unsupported(&self) -> Option<&'static str> {
-        None
-    }
+fn run_fds(cx: &MethodContext<'_>, gov: &Meter) -> EngineRun {
+    let bp = cx.boolprog();
+    let explain = cx.certifier.explain();
+    // within-method delta re-solve: seed from the cached solution when one
+    // is available and nothing can perturb the outcome. A constrained
+    // governor could trip at a different point than a cold solve, changing
+    // the exhaustion verdict; and a carried seed has no provenance, so
+    // explained runs always solve cold (witness traces must match the
+    // uncached path).
+    let seeded = match cx.fds_seed {
+        Some(seed) if cx.certifier.budget().is_unlimited() && !explain => {
+            canvas_dataflow::delta::analyze_delta(bp, seed, gov)
+        }
+        Some(_) => {
+            canvas_dataflow::delta::note_fallback();
+            Ok(None)
+        }
+        None => Ok(None),
+    };
+    let solved = seeded.and_then(|res| match res {
+        Some(res) => Ok((res, None)),
+        None => fds::solve(bp, gov, explain),
+    });
+    let (res, prov) = match solved {
+        Ok(pair) => pair,
+        Err(ex) => return exhausted(Engine::ScmpFds, ex, bp.preds.len()),
+    };
+    let violations = fds::violations(
+        bp,
+        |n, p| res.get(n, p),
+        prov.as_ref().map(|p| (p, cx.program, cx.certifier.derived())),
+    );
+    let solution =
+        CellSolution::MayOne { nodes: (0..bp.node_count).map(|r| res.row_ones(r)).collect() };
+    let report = Report {
+        engine: Engine::ScmpFds,
+        violations: violations.iter().map(|v| cx.violation_witnessed(v)).collect(),
+        stats: Stats {
+            predicates: bp.preds.len(),
+            work: res.edge_visits,
+            max_states: 1,
+            ..Stats::default()
+        },
+        verdict: Default::default(),
+    };
+    Ok((report, Some(solution)))
 }
 
 /// Specialized nullary abstraction + exponential relational dataflow.
-struct ScmpRelationalEngine;
-
-impl AnalysisEngine for ScmpRelationalEngine {
-    fn id(&self) -> Engine {
-        Engine::ScmpRelational
-    }
-
-    fn name(&self) -> &'static str {
-        "scmp-relational"
-    }
-
-    fn abbrev(&self) -> &'static str {
-        "rel"
-    }
-
-    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
-        use canvas_dataflow::relational::{self, RelStop};
-        let bp = cx.boolprog();
-        let gov = Meter::new(cx.budget);
-        // The engine's own per-node valuation budget stays a hard error; only
-        // the shared governor degrades to an inconclusive verdict.
-        let (res, prov) = match relational::solve(bp, cx.relational_budget, &gov, cx.explain) {
-            Ok(pair) => pair,
-            Err(RelStop::States(_)) => return Err(CertifyError::StateBudget { engine: self.id() }),
-            Err(RelStop::Budget(ex)) => {
-                let stats =
-                    Stats { predicates: bp.preds.len(), exhausted: true, ..Stats::default() };
-                return Ok((Report::inconclusive(self.id(), ex.reason(), stats), None));
-            }
-        };
-        let violations = fds::violations(
-            bp,
-            |n, p| res.may_one(n, p),
-            prov.as_ref().map(|p| (p, cx.program, cx.derived)),
-        );
-        let max_states = res.states.iter().map(|s| s.len()).max().unwrap_or(0);
-        let solution = CellSolution::Relational {
-            nodes: res
-                .states
-                .iter()
-                .map(|set| {
-                    let mut vals: Vec<Vec<u32>> =
-                        set.iter().map(|bs| solution_bits(bs, bp.preds.len())).collect();
-                    vals.sort();
-                    vals
-                })
-                .collect(),
-        };
-        let report = Report {
-            engine: self.id(),
-            violations: violations.iter().map(|v| cx.violation_witnessed(v)).collect(),
-            stats: Stats {
-                predicates: bp.preds.len(),
-                work: res.transfers,
-                max_states,
-                ..Stats::default()
-            },
-            verdict: Default::default(),
-        };
-        Ok((report, Some(solution)))
-    }
-
-    fn certificate_unsupported(&self) -> Option<&'static str> {
-        None
-    }
+fn run_relational(cx: &MethodContext<'_>, gov: &Meter) -> EngineRun {
+    use canvas_dataflow::relational::{self, RelStop};
+    let engine = Engine::ScmpRelational;
+    let bp = cx.boolprog();
+    let (rel_budget, _) = cx.certifier.budgets();
+    // The engine's own per-node valuation budget stays a hard error; only
+    // the shared governor degrades to an inconclusive verdict.
+    let (res, prov) = match relational::solve(bp, rel_budget, gov, cx.certifier.explain()) {
+        Ok(pair) => pair,
+        Err(RelStop::States(_)) => return Err(CertifyError::StateBudget { engine }),
+        Err(RelStop::Budget(ex)) => return exhausted(engine, ex, bp.preds.len()),
+    };
+    let violations = fds::violations(
+        bp,
+        |n, p| res.may_one(n, p),
+        prov.as_ref().map(|p| (p, cx.program, cx.certifier.derived())),
+    );
+    let max_states = res.states.iter().map(|s| s.len()).max().unwrap_or(0);
+    let solution = CellSolution::Relational {
+        nodes: res
+            .states
+            .iter()
+            .map(|set| {
+                let mut vals: Vec<Vec<u32>> =
+                    set.iter().map(|bs| solution_bits(bs, bp.preds.len())).collect();
+                vals.sort();
+                vals
+            })
+            .collect(),
+    };
+    let report = Report {
+        engine,
+        violations: violations.iter().map(|v| cx.violation_witnessed(v)).collect(),
+        stats: Stats {
+            predicates: bp.preds.len(),
+            work: res.transfers,
+            max_states,
+            ..Stats::default()
+        },
+        verdict: Default::default(),
+    };
+    Ok((report, Some(solution)))
 }
 
 /// Context-sensitive interprocedural SCMP certification (§8).
-struct ScmpInterprocEngine;
-
-impl AnalysisEngine for ScmpInterprocEngine {
-    fn id(&self) -> Engine {
-        Engine::ScmpInterproc
-    }
-
-    fn name(&self) -> &'static str {
-        "scmp-interproc"
-    }
-
-    fn abbrev(&self) -> &'static str {
-        "inter"
-    }
-
-    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
-        let gov = Meter::new(cx.budget);
-        let res = match canvas_dataflow::interproc::solve(
-            cx.program, cx.spec, cx.derived, &gov, cx.explain,
-        ) {
-            Ok(res) => res,
-            Err(ex) => {
-                let stats = Stats { exhausted: true, ..Stats::default() };
-                return Ok((Report::inconclusive(self.id(), ex.reason(), stats), None));
-            }
-        };
-        let report = Report {
-            engine: self.id(),
-            violations: res.violations.iter().map(|v| cx.violation_witnessed(v)).collect(),
-            stats: Stats {
-                predicates: res.max_instances,
-                work: res.summary_iterations,
-                max_states: 1,
-                ..Stats::default()
-            },
-            verdict: Default::default(),
-        };
-        Ok((report, None))
-    }
+fn run_interproc(cx: &MethodContext<'_>, gov: &Meter) -> EngineRun {
+    let engine = Engine::ScmpInterproc;
+    let c = cx.certifier;
+    let solved =
+        canvas_dataflow::interproc::solve(cx.program, c.spec(), c.derived(), gov, c.explain());
+    let res = match solved {
+        Ok(res) => res,
+        Err(ex) => return exhausted(engine, ex, 0),
+    };
+    let report = Report {
+        engine,
+        violations: res.violations.iter().map(|v| cx.violation_witnessed(v)).collect(),
+        stats: Stats {
+            predicates: res.max_instances,
+            work: res.summary_iterations,
+            max_states: 1,
+            ..Stats::default()
+        },
+        verdict: Default::default(),
+    };
+    Ok((report, None))
 }
 
-/// First-order predicate abstraction + TVLA engine, set of structures per
-/// point (§5, relational mode).
-struct TvlaRelationalEngine;
-
-impl AnalysisEngine for TvlaRelationalEngine {
-    fn id(&self) -> Engine {
-        Engine::TvlaRelational
-    }
-
-    fn name(&self) -> &'static str {
-        "tvla-relational"
-    }
-
-    fn abbrev(&self) -> &'static str {
-        "tvla-r"
-    }
-
-    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
-        let report =
-            run_tvla(cx, self.id(), cx.tvp_specialized(), canvas_tvla::EngineMode::Relational);
-        Ok((report, None))
-    }
-}
-
-/// First-order predicate abstraction + TVLA engine, one structure per point
-/// (§5, independent-attribute mode).
-struct TvlaIndependentEngine;
-
-impl AnalysisEngine for TvlaIndependentEngine {
-    fn id(&self) -> Engine {
-        Engine::TvlaIndependent
-    }
-
-    fn name(&self) -> &'static str {
-        "tvla-independent"
-    }
-
-    fn abbrev(&self) -> &'static str {
-        "tvla-i"
-    }
-
-    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
-        let mode = canvas_tvla::EngineMode::IndependentAttribute;
-        Ok((run_tvla(cx, self.id(), cx.tvp_specialized(), mode), None))
-    }
-}
-
-/// Generic composite-program translation + shape-graph analysis (§3/§4.4
-/// baseline), relational mode.
-struct GenericSsgRelationalEngine;
-
-impl AnalysisEngine for GenericSsgRelationalEngine {
-    fn id(&self) -> Engine {
-        Engine::GenericSsgRelational
-    }
-
-    fn name(&self) -> &'static str {
-        "generic-ssg-relational"
-    }
-
-    fn abbrev(&self) -> &'static str {
-        "ssg-r"
-    }
-
-    fn specialized(&self) -> bool {
-        false
-    }
-
-    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
-        Ok((run_tvla(cx, self.id(), cx.tvp_generic(), canvas_tvla::EngineMode::Relational), None))
-    }
-}
-
-/// The shape-graph baseline in independent-attribute mode.
-struct GenericSsgIndependentEngine;
-
-impl AnalysisEngine for GenericSsgIndependentEngine {
-    fn id(&self) -> Engine {
-        Engine::GenericSsgIndependent
-    }
-
-    fn name(&self) -> &'static str {
-        "generic-ssg-independent"
-    }
-
-    fn abbrev(&self) -> &'static str {
-        "ssg-i"
-    }
-
-    fn specialized(&self) -> bool {
-        false
-    }
-
-    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
-        let mode = canvas_tvla::EngineMode::IndependentAttribute;
-        Ok((run_tvla(cx, self.id(), cx.tvp_generic(), mode), None))
-    }
-}
-
-/// Generic allocation-site must-alias baseline (§3).
-struct GenericAllocSiteEngine;
-
-impl AnalysisEngine for GenericAllocSiteEngine {
-    fn id(&self) -> Engine {
-        Engine::GenericAllocSite
-    }
-
-    fn name(&self) -> &'static str {
-        "generic-allocsite"
-    }
-
-    fn abbrev(&self) -> &'static str {
-        "alloc"
-    }
-
-    fn specialized(&self) -> bool {
-        false
-    }
-
-    fn run(&self, cx: &MethodContext<'_>) -> Result<(Report, Option<CellSolution>), CertifyError> {
-        // The alloc-site baseline is a single linear pass, so account its
-        // whole cost up front: one step per CFG edge (plus one so an empty
-        // method still checks the deadline / injected trip).
-        let gov = Meter::new(cx.budget);
-        for _ in 0..=cx.method.cfg.edges().len() {
-            if let Err(ex) = gov.tick() {
-                let stats = Stats { exhausted: true, ..Stats::default() };
-                return Ok((Report::inconclusive(self.id(), ex.reason(), stats), None));
-            }
-        }
-        let res = canvas_heap::allocsite_analyze(
-            cx.program,
-            cx.method,
-            cx.spec,
-            cx.entry == EntryAssumption::Unknown,
-        );
-        let why = "the allocation-site baseline does not record provenance";
-        let report = Report {
-            engine: self.id(),
-            violations: res.violations.iter().map(|s| cx.violation_unavailable(s, why)).collect(),
-            stats: Stats { work: res.edge_visits, max_states: 1, ..Stats::default() },
-            verdict: Default::default(),
-        };
-        Ok((report, None))
-    }
-}
-
+/// The TVLA engine over `tvp`: the first-order predicate abstraction (§5)
+/// or the generic shape-graph baseline (§3/§4.4), in either mode.
 fn run_tvla(
     cx: &MethodContext<'_>,
+    gov: &Meter,
     engine: Engine,
     tvp: &TvpProgram,
     mode: canvas_tvla::EngineMode,
-) -> Report {
+) -> EngineRun {
     let entry_structs = match cx.entry {
         EntryAssumption::Clean => vec![canvas_tvla::Structure::empty(&tvp.preds)],
         EntryAssumption::Unknown => {
@@ -622,19 +500,13 @@ fn run_tvla(
             vec![s]
         }
     };
-    let gov = Meter::new(cx.budget);
-    let res = match canvas_tvla::run(tvp, mode, cx.tvla_budget, entry_structs, &gov) {
+    let (_, tvla_budget) = cx.certifier.budgets();
+    let res = match canvas_tvla::run(tvp, mode, tvla_budget, entry_structs, gov) {
         Ok(res) => res,
-        Err(ex) => {
-            return Report::inconclusive(
-                engine,
-                ex.reason(),
-                Stats { predicates: tvp.preds.len(), exhausted: true, ..Stats::default() },
-            )
-        }
+        Err(ex) => return exhausted(engine, ex, tvp.preds.len()),
     };
     let why = "the TVLA engines do not record provenance";
-    Report {
+    let report = Report {
         engine,
         violations: res.violations.iter().map(|v| cx.violation_unavailable(&v.site, why)).collect(),
         stats: Stats {
@@ -645,7 +517,35 @@ fn run_tvla(
             ..Stats::default()
         },
         verdict: Default::default(),
+    };
+    Ok((report, None))
+}
+
+/// Generic allocation-site must-alias baseline (§3).
+fn run_allocsite(cx: &MethodContext<'_>, gov: &Meter) -> EngineRun {
+    let engine = Engine::GenericAllocSite;
+    // The alloc-site baseline is a single linear pass, so account its whole
+    // cost up front: one step per CFG edge (plus one so an empty method
+    // still checks the deadline / injected trip).
+    for _ in 0..=cx.method.cfg.edges().len() {
+        if let Err(ex) = gov.tick() {
+            return exhausted(engine, ex, 0);
+        }
     }
+    let res = canvas_heap::allocsite_analyze(
+        cx.program,
+        cx.method,
+        cx.certifier.spec(),
+        cx.entry == EntryAssumption::Unknown,
+    );
+    let why = "the allocation-site baseline does not record provenance";
+    let report = Report {
+        engine,
+        violations: res.violations.iter().map(|s| cx.violation_unavailable(s, why)).collect(),
+        stats: Stats { work: res.edge_visits, max_states: 1, ..Stats::default() },
+        verdict: Default::default(),
+    };
+    Ok((report, None))
 }
 
 #[cfg(test)]
@@ -653,18 +553,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_ids_match_order_and_are_unique() {
-        let ids: Vec<Engine> = registry().iter().map(|e| e.id()).collect();
-        assert_eq!(ids, Engine::all());
-        let mut dedup = ids.clone();
+    fn engines_are_in_table_order_and_unique() {
+        let all = Engine::all();
+        let abbrevs: Vec<&str> = all.iter().map(|e| e.abbrev()).collect();
+        let table = ["fds", "rel", "inter", "tvla-r", "tvla-i", "ssg-r", "ssg-i", "alloc"];
+        assert_eq!(abbrevs, table);
+        let mut dedup = all.clone();
         dedup.dedup();
-        assert_eq!(dedup.len(), ids.len());
+        assert_eq!(dedup.len(), all.len());
     }
 
     #[test]
     fn names_and_abbrevs_are_distinct() {
-        let names: Vec<&str> = registry().iter().map(|e| e.name()).collect();
-        let abbrevs: Vec<&str> = registry().iter().map(|e| e.abbrev()).collect();
+        let names: Vec<&str> = Engine::all().iter().map(|e| e.name()).collect();
+        let abbrevs: Vec<&str> = Engine::all().iter().map(|e| e.abbrev()).collect();
         for list in [&names, &abbrevs] {
             let mut sorted = list.clone();
             sorted.sort_unstable();
@@ -674,26 +576,28 @@ mod tests {
     }
 
     #[test]
+    fn by_name_inverts_display() {
+        for e in Engine::all() {
+            assert_eq!(Engine::by_name(&e.to_string()), Some(e));
+        }
+        assert_eq!(Engine::by_name("no-such-engine"), None);
+    }
+
+    #[test]
     fn shared_transforms_compute_once() {
-        let spec = canvas_easl::builtin::cmp();
-        let derived = canvas_wp::derive_abstraction(&spec).unwrap();
+        let certifier = Certifier::from_spec(canvas_easl::builtin::cmp()).unwrap();
         let program = Program::parse(
             "class Main { static void main() { Set s = new Set(); Iterator i = s.iterator(); i.next(); } }",
-            &spec,
+            certifier.spec(),
         )
         .unwrap();
         let method = program.main_method().unwrap();
         let shared = SharedTransforms::new();
         let cx = MethodContext {
+            certifier: &certifier,
             program: &program,
             method,
-            spec: &spec,
-            derived: &derived,
             entry: EntryAssumption::Clean,
-            relational_budget: 1 << 14,
-            tvla_budget: 50_000,
-            budget: Budget::unlimited(),
-            explain: false,
             shared: &shared,
             fds_seed: None,
         };

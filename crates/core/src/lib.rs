@@ -51,7 +51,7 @@ mod error;
 mod report;
 
 pub use canvas_abstraction::{CellSolution, CertCell, CertFormatError, CertViolation, Certificate};
-pub use certifier::{solved_cell, walk_program, Certifier, CertifyError, Engine};
-pub use engine::{registry, AnalysisEngine, MethodContext, PreparedProgram, SharedTransforms};
+pub use certifier::{solved_cell, walk_program, Certifier, CertifyError};
+pub use engine::{Engine, PreparedProgram, SharedTransforms};
 pub use error::{panic_message, write_stdout, CanvasError, ErrorKind, Stage};
 pub use report::{Report, Stats, Verdict, Violation, Witness, WitnessStep};

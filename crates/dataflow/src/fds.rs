@@ -578,7 +578,8 @@ pub fn analyze_reference(bp: &BoolProgram) -> ScalarResult {
 
 /// The potential violations of a fixpoint, whichever engine computed it:
 /// a check fires when one of its disjuncts is the constant 1 or a predicate
-/// that may be 1 at the check's node (`may_one(node, pred)`). With
+/// that may be 1 at the check's node (`may_one(node, pred)`). The boolean
+/// program holds only the checks a path from the entry reaches. With
 /// `witnesses`, each violation carries the trace of its first culprit
 /// (empty when the check fires only on a constant disjunct: the
 /// precondition is violated unconditionally). `witnesses` is a traced
@@ -589,18 +590,8 @@ pub fn violations(
     may_one: impl Fn(usize, usize) -> bool,
     witnesses: Option<(&Provenance, &Program, &Derived)>,
 ) -> Vec<Violation> {
-    violations_at(bp, |_| true, may_one, witnesses)
-}
-
-/// [`violations`] of the checks whose node `checked` admits.
-pub(crate) fn violations_at(
-    bp: &BoolProgram,
-    checked: impl Fn(usize) -> bool,
-    may_one: impl Fn(usize, usize) -> bool,
-    witnesses: Option<(&Provenance, &Program, &Derived)>,
-) -> Vec<Violation> {
     let mut out = Vec::new();
-    for c in bp.checks.iter().filter(|c| checked(c.node)) {
+    for c in &bp.checks {
         let mut culprits = Vec::new();
         let mut fires = false;
         for op in &c.preds {

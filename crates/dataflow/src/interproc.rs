@@ -619,10 +619,8 @@ impl Ctx<'_> {
                 }
             }
         }
-        // checks, at the nodes the pass reached
-        let viols = crate::fds::violations_at(
+        let viols = crate::fds::violations(
             bp,
-            |node| state[node].is_some(),
             |node, p| state[node].as_ref().is_some_and(|s| s.get(p)),
             explain.then_some((&prov, &self.program, derived)),
         );

@@ -185,8 +185,8 @@ impl Meter {
 
     /// A meter that can never trip — not even under fault injection.
     ///
-    /// Used by the legacy infallible solver entry points so their signatures
-    /// (and the unit tests pinned to them) stay unchanged.
+    /// For ungoverned runs: the yardstick entry `fds::analyze`, solver unit
+    /// tests, and the benchmarks that time a fixpoint kernel by itself.
     #[must_use]
     pub fn disarmed() -> Self {
         Meter {

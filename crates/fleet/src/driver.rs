@@ -27,7 +27,7 @@ use canvas_easl::Spec;
 use canvas_faults::Fault;
 use canvas_incr::fingerprint::{Fingerprint, Hasher64};
 use canvas_incr::json::{obj, Json};
-use canvas_incr::store::CertCache;
+use canvas_incr::store::{violation_from_json, CertCache};
 use canvas_incr::{IncrementalCertifier, RunCacheStats};
 use canvas_minijava::Program;
 use canvas_telemetry::{Counter, Histogram};
@@ -126,7 +126,7 @@ fn process_local(
             )
         }
     };
-    match inc.certify_program_cached_with_stats(&program, engine) {
+    match inc.certify_program_cached(&program, engine) {
         Ok((report, stats)) => {
             let inconclusive = match report.verdict {
                 Verdict::Inconclusive { reason } => Some(reason),
@@ -230,28 +230,7 @@ fn read_answer(json: &Json, idx: usize) -> Result<(Vec<Violation>, Option<String
     let Some(Json::Arr(raw)) = json.get("violations") else {
         return Err("missing violations array".to_string());
     };
-    let str_of = |v: &Json, k: &str| match v.get(k) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        _ => Err(format!("violation without string {k:?}")),
-    };
-    let u32_of = |v: &Json, k: &str| match v.get(k) {
-        Some(Json::Int(n)) => {
-            u32::try_from(*n).map_err(|_| format!("violation {k:?} out of range"))
-        }
-        _ => Err(format!("violation without integer {k:?}")),
-    };
-    let sites = raw
-        .iter()
-        .map(|v| {
-            Ok(Violation {
-                method: str_of(v, "method")?,
-                line: u32_of(v, "line")?,
-                col: u32_of(v, "col")?,
-                what: str_of(v, "what")?,
-                witness: None,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+    let sites = raw.iter().map(violation_from_json).collect::<Result<Vec<_>, String>>()?;
     match json.get("verdict") {
         Some(Json::Str(v)) if v == "inconclusive" => Ok((
             sites,

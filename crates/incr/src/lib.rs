@@ -102,26 +102,13 @@ impl IncrementalCertifier {
 
     /// Cached equivalent of [`Certifier::certify_program`]: `main` with
     /// clean entry plus every other method out of context, each cell
-    /// answered from the store when its key matches.
+    /// answered from the store when its key matches. Also reports this
+    /// run's own hit/miss traffic.
     ///
     /// # Errors
     ///
     /// As [`Certifier::certify`].
     pub fn certify_program_cached(
-        &self,
-        program: &Program,
-        engine: Engine,
-    ) -> Result<Report, CertifyError> {
-        Ok(self.certify_program_cached_with_stats(program, engine)?.0)
-    }
-
-    /// As [`IncrementalCertifier::certify_program_cached`], also reporting
-    /// this run's own hit/miss traffic.
-    ///
-    /// # Errors
-    ///
-    /// As [`Certifier::certify`].
-    pub fn certify_program_cached_with_stats(
         &self,
         program: &Program,
         engine: Engine,
@@ -131,20 +118,6 @@ impl IncrementalCertifier {
         let report =
             walk_program(program, engine, move |method, entry| Ok(cell(method, entry)?.0))?;
         Ok((report, run))
-    }
-
-    /// Parses and certifies a source text (cached).
-    ///
-    /// # Errors
-    ///
-    /// As [`Certifier::certify_source`].
-    pub fn certify_source_cached(
-        &self,
-        src: &str,
-        engine: Engine,
-    ) -> Result<(Report, RunCacheStats), CertifyError> {
-        let program = Program::parse(src, self.certifier.spec())?;
-        self.certify_program_cached_with_stats(&program, engine)
     }
 
     /// Cached equivalent of [`Certifier::certify_with_certificate`]: the
@@ -367,8 +340,8 @@ class Main {
         let inc = incr();
         let program = parse(&inc, FIG3);
         for engine in Engine::all() {
-            let (cold, cs) = inc.certify_program_cached_with_stats(&program, engine).expect("cold");
-            let (warm, ws) = inc.certify_program_cached_with_stats(&program, engine).expect("warm");
+            let (cold, cs) = inc.certify_program_cached(&program, engine).expect("cold");
+            let (warm, ws) = inc.certify_program_cached(&program, engine).expect("warm");
             assert_eq!(cs.hits, 0, "{engine}: first run must be cold");
             assert_eq!(ws.misses, 0, "{engine}: second run must be fully warm");
             assert_eq!(ws.hits, cs.misses, "{engine}");
@@ -382,8 +355,8 @@ class Main {
         let program = parse(&inc, HELPERS);
         for engine in Engine::all() {
             let reference = inc.certifier().certify_program(&program, engine).expect("reference");
-            let cold = inc.certify_program_cached(&program, engine).expect("cold");
-            let warm = inc.certify_program_cached(&program, engine).expect("warm");
+            let (cold, _) = inc.certify_program_cached(&program, engine).expect("cold");
+            let (warm, _) = inc.certify_program_cached(&program, engine).expect("warm");
             assert_eq!(report_digest(&reference), report_digest(&cold), "{engine}");
             assert_eq!(report_digest(&reference), report_digest(&warm), "{engine}");
         }
@@ -401,7 +374,7 @@ class Main {
         let after = parse(&inc, &edited);
         let engine = Engine::ScmpFds;
         inc.certify_program_cached(&before, engine).expect("cold");
-        let (_, stats) = inc.certify_program_cached_with_stats(&after, engine).expect("edited");
+        let (_, stats) = inc.certify_program_cached(&after, engine).expect("edited");
         // exactly one cell (the edited method, out-of-context) re-runs: the
         // other methods' bodies, spans, and dependency sets are unchanged
         assert_eq!(stats.misses, 1, "{stats:?}");
@@ -414,13 +387,13 @@ class Main {
         let inc = incr();
         let program = parse(&inc, HELPERS);
         let engine = Engine::ScmpInterproc;
-        let (_, cold) = inc.certify_program_cached_with_stats(&program, engine).expect("cold");
+        let (_, cold) = inc.certify_program_cached(&program, engine).expect("cold");
         assert_eq!((cold.hits, cold.misses), (0, 1));
-        let (_, warm) = inc.certify_program_cached_with_stats(&program, engine).expect("warm");
+        let (_, warm) = inc.certify_program_cached(&program, engine).expect("warm");
         assert_eq!((warm.hits, warm.misses), (1, 0));
         // any body edit invalidates the whole-program cell
         let edited = parse(&inc, &HELPERS.replace("i.next();", "i.next(); i.next();"));
-        let (_, e) = inc.certify_program_cached_with_stats(&edited, engine).expect("edited");
+        let (_, e) = inc.certify_program_cached(&edited, engine).expect("edited");
         assert_eq!((e.hits, e.misses), (0, 1));
     }
 
@@ -430,8 +403,7 @@ class Main {
         let program = parse(&inc, FIG3);
         inc.certify_program_cached(&program, Engine::ScmpFds).expect("cold");
         let budgeted = inc.with_budget(canvas_faults::Budget::unlimited().with_max_steps(1 << 20));
-        let (_, stats) =
-            budgeted.certify_program_cached_with_stats(&program, Engine::ScmpFds).expect("runs");
+        let (_, stats) = budgeted.certify_program_cached(&program, Engine::ScmpFds).expect("runs");
         assert_eq!(stats.hits, 0, "a different budget is a different certificate");
     }
 
@@ -467,10 +439,8 @@ class Main {
         let conservative = IncrementalCertifier::shared(conservative, cache);
         let program = parse(&exact, HELPERS);
         for engine in Engine::all() {
-            let (_, first) =
-                exact.certify_program_cached_with_stats(&program, engine).expect("runs");
-            let (_, second) =
-                conservative.certify_program_cached_with_stats(&program, engine).expect("runs");
+            let (_, first) = exact.certify_program_cached(&program, engine).expect("runs");
+            let (_, second) = conservative.certify_program_cached(&program, engine).expect("runs");
             assert_eq!((second.hits, second.misses), (0, first.misses), "{engine}");
         }
     }
@@ -505,9 +475,8 @@ class Main {
             .with_explain(true);
         let inc = IncrementalCertifier::new(c, CertCache::in_memory());
         let program = parse(&inc, FIG3);
-        let (cold, _) = inc.certify_source_cached(FIG3, Engine::ScmpFds).expect("cold");
-        let (warm, stats) =
-            inc.certify_program_cached_with_stats(&program, Engine::ScmpFds).expect("warm");
+        let (cold, _) = inc.certify_program_cached(&program, Engine::ScmpFds).expect("cold");
+        let (warm, stats) = inc.certify_program_cached(&program, Engine::ScmpFds).expect("warm");
         assert_eq!(stats.misses, 0);
         assert!(cold.violations.iter().any(|v| matches!(v.witness, Some(Witness::Trace(_)))));
         assert_eq!(report_digest(&cold), report_digest(&warm));

@@ -401,9 +401,8 @@ impl ServeState {
                 .map_err(CanvasError::from)?;
             (report, Some(cert.to_text()), stats)
         } else {
-            let (report, stats) = inc
-                .certify_program_cached_with_stats(&program, engine)
-                .map_err(CanvasError::from)?;
+            let (report, stats) =
+                inc.certify_program_cached(&program, engine).map_err(CanvasError::from)?;
             (report, None, stats)
         };
         if let Err(e) = self.cache.persist() {

@@ -270,61 +270,11 @@ impl CachedReport {
     /// Parses the compact JSON form, strictly: a missing or mistyped field
     /// is corruption, reported as `Err` so the loader can drop the line.
     pub fn from_json(json: &Json) -> Result<CachedReport, String> {
-        let str_of = |j: &Json, key: &str| -> Result<String, String> {
-            match j.get(key) {
-                Some(Json::Str(s)) => Ok(s.clone()),
-                _ => Err(format!("missing string field {key:?}")),
-            }
-        };
-        let int_of = |j: &Json, key: &str| -> Result<u64, String> {
-            match j.get(key) {
-                Some(Json::Int(n)) => Ok(*n),
-                _ => Err(format!("missing integer field {key:?}")),
-            }
-        };
-        let bool_of = |j: &Json, key: &str| -> Result<bool, String> {
-            match j.get(key) {
-                Some(Json::Bool(b)) => Ok(*b),
-                _ => Err(format!("missing boolean field {key:?}")),
-            }
-        };
-        let line_col = |n: u64, key: &str| -> Result<u32, String> {
-            u32::try_from(n).map_err(|_| format!("{key} out of range"))
-        };
         let Some(Json::Arr(raw_violations)) = json.get("violations") else {
             return Err("missing violations array".to_string());
         };
-        let mut violations = Vec::with_capacity(raw_violations.len());
-        for rv in raw_violations {
-            let witness = match rv.get("witness") {
-                Some(Json::Null) | None => None,
-                Some(w) => {
-                    if let Some(Json::Str(reason)) = w.get("unavailable") {
-                        Some(Witness::Unavailable(static_reason(reason)))
-                    } else if let Some(Json::Arr(raw_steps)) = w.get("trace") {
-                        let mut steps = Vec::with_capacity(raw_steps.len());
-                        for rs in raw_steps {
-                            steps.push(WitnessStep {
-                                line: line_col(int_of(rs, "line")?, "step line")?,
-                                col: line_col(int_of(rs, "col")?, "step col")?,
-                                what: str_of(rs, "what")?,
-                                fact: str_of(rs, "fact")?,
-                            });
-                        }
-                        Some(Witness::Trace(steps))
-                    } else {
-                        return Err("malformed witness".to_string());
-                    }
-                }
-            };
-            violations.push(Violation {
-                method: str_of(rv, "method")?,
-                line: line_col(int_of(rv, "line")?, "line")?,
-                col: line_col(int_of(rv, "col")?, "col")?,
-                what: str_of(rv, "what")?,
-                witness,
-            });
-        }
+        let violations =
+            raw_violations.iter().map(violation_from_json).collect::<Result<Vec<_>, _>>()?;
         let indices = |j: &Json| -> Result<Vec<u32>, String> {
             let Json::Arr(row) = j else { return Err("solution row is not an array".to_string()) };
             row.iter()
@@ -361,8 +311,8 @@ impl CachedReport {
                     return Err("malformed cell solution".to_string());
                 };
                 Some(CachedCell {
-                    preds: line_col(int_of(c, "preds")?, "cell preds")?,
-                    bp_digest: int_of(c, "bp")?,
+                    preds: u32_field(c, "preds")?,
+                    bp_digest: int_field(c, "bp")?,
                     solution,
                 })
             }
@@ -390,30 +340,100 @@ impl CachedReport {
                         return Err("delta edge is not [from, to, digest]".to_string());
                     };
                     edges.push(canvas_dataflow::delta::DeltaEdge {
-                        from: line_col(*from, "delta edge from")?,
-                        to: line_col(*to, "delta edge to")?,
+                        from: to_u32(*from, "delta edge from")?,
+                        to: to_u32(*to, "delta edge to")?,
                         digest: *digest,
                     });
                 }
                 Some(canvas_dataflow::DeltaPayload {
-                    nodes: line_col(int_of(d, "nodes")?, "delta nodes")?,
-                    entry: line_col(int_of(d, "entry")?, "delta entry")?,
+                    nodes: u32_field(d, "nodes")?,
+                    entry: u32_field(d, "entry")?,
                     entry_unknown: eu,
                     edges,
                 })
             }
         };
         Ok(CachedReport {
-            engine: str_of(json, "engine")?,
-            predicates: int_of(json, "predicates")?,
-            work: int_of(json, "work")?,
-            max_states: int_of(json, "max_states")?,
-            exhausted: bool_of(json, "exhausted")?,
+            engine: str_field(json, "engine")?,
+            predicates: int_field(json, "predicates")?,
+            work: int_field(json, "work")?,
+            max_states: int_field(json, "max_states")?,
+            exhausted: bool_field(json, "exhausted")?,
             violations,
             cell,
             delta,
         })
     }
+}
+
+/// Decodes one `{method, line, col, what, witness?}` violation object, the
+/// shape of both store lines and `canvas serve` responses, failing closed:
+/// a missing, mistyped or out-of-range field is an `Err`, never a guess. An
+/// absent or `null` `witness` decodes to `None`.
+///
+/// # Errors
+///
+/// A description of the first bad field.
+pub fn violation_from_json(j: &Json) -> Result<Violation, String> {
+    let witness = match j.get("witness") {
+        Some(Json::Null) | None => None,
+        Some(w) => {
+            if let Some(Json::Str(reason)) = w.get("unavailable") {
+                Some(Witness::Unavailable(static_reason(reason)))
+            } else if let Some(Json::Arr(raw_steps)) = w.get("trace") {
+                let steps = raw_steps
+                    .iter()
+                    .map(|rs| {
+                        Ok(WitnessStep {
+                            line: u32_field(rs, "line")?,
+                            col: u32_field(rs, "col")?,
+                            what: str_field(rs, "what")?,
+                            fact: str_field(rs, "fact")?,
+                        })
+                    })
+                    .collect::<Result<_, String>>()?;
+                Some(Witness::Trace(steps))
+            } else {
+                return Err("malformed witness".to_string());
+            }
+        }
+    };
+    Ok(Violation {
+        method: str_field(j, "method")?,
+        line: u32_field(j, "line")?,
+        col: u32_field(j, "col")?,
+        what: str_field(j, "what")?,
+        witness,
+    })
+}
+
+fn str_field(j: &Json, key: &str) -> Result<String, String> {
+    match j.get(key) {
+        Some(Json::Str(s)) => Ok(s.clone()),
+        _ => Err(format!("missing string field {key:?}")),
+    }
+}
+
+fn int_field(j: &Json, key: &str) -> Result<u64, String> {
+    match j.get(key) {
+        Some(Json::Int(n)) => Ok(*n),
+        _ => Err(format!("missing integer field {key:?}")),
+    }
+}
+
+fn bool_field(j: &Json, key: &str) -> Result<bool, String> {
+    match j.get(key) {
+        Some(Json::Bool(b)) => Ok(*b),
+        _ => Err(format!("missing boolean field {key:?}")),
+    }
+}
+
+fn to_u32(n: u64, what: &str) -> Result<u32, String> {
+    u32::try_from(n).map_err(|_| format!("{what} out of range"))
+}
+
+fn u32_field(j: &Json, key: &str) -> Result<u32, String> {
+    to_u32(int_field(j, key)?, key)
 }
 
 /// Hit/miss/invalidation accounting of one store, mirrored into the

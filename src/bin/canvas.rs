@@ -108,7 +108,7 @@ fn run(args: &[String]) -> Result<ExitCode, CanvasError> {
     let o = parse(verb, args)?;
     match verb {
         Verb::Engines => {
-            for e in canvas_core::registry() {
+            for e in Engine::all() {
                 outln!(
                     "{:<26} {}",
                     e.name(),
@@ -216,7 +216,9 @@ fn certify(o: &Opts) -> Result<ExitCode, CanvasError> {
     }
     let mut certificate: Option<canvas_abstraction::Certificate> = None;
     let report = if o.inline {
-        certifier.certify_inlined(&program, o.engine)?
+        let inlined = canvas_minijava::inline::inline_main(&program, 100_000)
+            .map_err(|e| CanvasError::client(&e))?;
+        certifier.certify(&inlined, o.engine)?
     } else if let Some(dir) = &o.cache_dir {
         if !o.whole_program {
             return Err(CanvasError::usage("--cache-dir requires --whole-program"));
@@ -229,7 +231,7 @@ fn certify(o: &Opts) -> Result<ExitCode, CanvasError> {
             certificate = Some(cert);
             (report, stats)
         } else {
-            inc.certify_program_cached_with_stats(&program, o.engine).map_err(CanvasError::from)?
+            inc.certify_program_cached(&program, o.engine).map_err(CanvasError::from)?
         };
         inc.persist()?;
         eprintln!("canvas: certificate cache: {} hit(s), {} miss(es)", stats.hits, stats.misses);

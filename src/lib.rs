@@ -20,8 +20,8 @@
 //! * [`incr`] — incremental certification: the content-addressed
 //!   certificate cache and the `canvas serve` protocol;
 //! * [`fleet`] — fleet-scale corpus certification: the synthetic corpus
-//!   generator, the sharded work-stealing driver, and merged certificate
-//!   caches (`canvas fleet`).
+//!   generator and the driver whose workers claim programs from one queue
+//!   and share one certificate store (`canvas fleet`).
 //!
 //! Start with [`Certifier`]:
 //!

@@ -500,6 +500,25 @@ fn closed_stdout_is_not_a_panic() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
 
+/// `canvas engines` lists the engine table in evaluation order, each with
+/// its abstraction.
+#[test]
+fn engines_lists_the_engine_table() {
+    let run = canvas(&scratch("engines"), &["engines"], "", &[]);
+    assert_eq!(run.code, 0, "{}", run.stderr);
+    assert_eq!(
+        run.stdout,
+        "scmp-fds                   derived abstraction\n\
+         scmp-relational            derived abstraction\n\
+         scmp-interproc             derived abstraction\n\
+         tvla-relational            derived abstraction\n\
+         tvla-independent           derived abstraction\n\
+         generic-ssg-relational     generic baseline\n\
+         generic-ssg-independent    generic baseline\n\
+         generic-allocsite          generic baseline\n"
+    );
+}
+
 /// The one option parser: an unknown option, a missing operand and an
 /// option the verb has no use for are each a usage error (exit 2).
 #[test]

@@ -120,11 +120,12 @@ fn every_injected_fault_is_contained() {
     let dir =
         std::env::temp_dir().join(format!("canvas-fault-injection-cache-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
+    let program = Program::parse(FIG3, &spec).expect("FIG3 parses");
     let inc = IncrementalCertifier::new(
         Certifier::from_spec(spec.clone()).expect("cmp derives"),
         CertCache::open(&dir),
     );
-    let (clean, cold) = inc.certify_source_cached(FIG3, Engine::ScmpFds).expect("cold");
+    let (clean, cold) = inc.certify_program_cached(&program, Engine::ScmpFds).expect("cold");
     assert_eq!(cold.hits, 0, "first run is cold");
     inc.persist().expect("store persists");
 
@@ -138,7 +139,7 @@ fn every_injected_fault_is_contained() {
         reopened.cache().stats().recovered_from_corruption,
         "the injected corruption must be detected and recovered from"
     );
-    let (again, _) = reopened.certify_source_cached(FIG3, Engine::ScmpFds).expect("recovered");
+    let (again, _) = reopened.certify_program_cached(&program, Engine::ScmpFds).expect("recovered");
     assert_eq!(
         report_digest(&clean),
         report_digest(&again),

@@ -4,8 +4,20 @@
 
 use std::collections::BTreeSet;
 
+use canvas_conformance::minijava::Program;
 use canvas_conformance::suite::corpus;
-use canvas_conformance::{Certifier, Engine};
+use canvas_conformance::{Certifier, CertifyError, Engine, Report};
+
+/// Inlines every client call into `main` (non-recursive programs only) and
+/// certifies the resulting single-procedure program.
+fn certify_inlined(
+    c: &Certifier,
+    program: &Program,
+    engine: Engine,
+) -> Result<Report, CertifyError> {
+    let inlined = canvas_conformance::minijava::inline::inline_main(program, 100_000)?;
+    c.certify(&inlined, engine)
+}
 
 #[test]
 fn inlined_tvla_is_exact_on_interproc_benchmarks() {
@@ -14,11 +26,9 @@ fn inlined_tvla_is_exact_on_interproc_benchmarks() {
             continue;
         }
         let c = Certifier::from_spec(b.spec.spec()).expect("derives");
-        let program =
-            canvas_conformance::minijava::Program::parse(b.source, c.spec()).expect("parses");
+        let program = Program::parse(b.source, c.spec()).expect("parses");
         let truth: BTreeSet<u32> = b.truth().into_iter().collect();
-        let r = c
-            .certify_inlined(&program, Engine::TvlaRelational)
+        let r = certify_inlined(&c, &program, Engine::TvlaRelational)
             .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         let lines: BTreeSet<u32> = r.lines().into_iter().collect();
         assert_eq!(lines, truth, "inlined TVLA not exact on {}", b.name);
@@ -32,11 +42,9 @@ fn inlined_fds_is_exact_on_interproc_benchmarks() {
             continue;
         }
         let c = Certifier::from_spec(b.spec.spec()).expect("derives");
-        let program =
-            canvas_conformance::minijava::Program::parse(b.source, c.spec()).expect("parses");
+        let program = Program::parse(b.source, c.spec()).expect("parses");
         let truth: BTreeSet<u32> = b.truth().into_iter().collect();
-        let r = c
-            .certify_inlined(&program, Engine::ScmpFds)
+        let r = certify_inlined(&c, &program, Engine::ScmpFds)
             .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         let lines: BTreeSet<u32> = r.lines().into_iter().collect();
         assert_eq!(lines, truth, "inlined FDS not exact on {}", b.name);
@@ -51,9 +59,8 @@ fn inlining_agrees_with_interproc_engine() {
             continue;
         }
         let c = Certifier::from_spec(b.spec.spec()).expect("derives");
-        let program =
-            canvas_conformance::minijava::Program::parse(b.source, c.spec()).expect("parses");
-        let Ok(inlined) = c.certify_inlined(&program, Engine::ScmpFds) else {
+        let program = Program::parse(b.source, c.spec()).expect("parses");
+        let Ok(inlined) = certify_inlined(&c, &program, Engine::ScmpFds) else {
             continue; // recursive benchmark: inlining refuses
         };
         let interproc = c.certify_program(&program, Engine::ScmpInterproc).expect("interproc");

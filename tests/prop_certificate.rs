@@ -5,7 +5,7 @@
 
 use canvas_conformance::abstraction::EntryAssumption;
 use canvas_conformance::check::{self, CheckError};
-use canvas_conformance::core::{CellSolution, Certificate};
+use canvas_conformance::core::{CellSolution, CertViolation, Certificate};
 use canvas_conformance::faults::Budget;
 use canvas_conformance::suite::corpus;
 use canvas_conformance::{Certifier, CertifyError, Engine};
@@ -165,6 +165,53 @@ fn dropping_a_violation_is_caught_by_replay() {
         tested += 1;
     }
     assert!(tested > 0, "corpus must contain buggy checkable benchmarks");
+}
+
+/// A check no path from the entry reaches never fires, in any engine or in
+/// the checker. With no predicate families, the conservative abstraction
+/// guards `i.next()` by the constant 1, so only reachability decides.
+#[test]
+fn unreachable_checks_never_fire() {
+    use canvas_conformance::minijava::{Instr, Program};
+    let source = "class Main { static void main() { Set v = new Set(); \
+                  Iterator i = v.iterator(); return; i.next(); } }";
+    let spec = canvas_conformance::easl::builtin::cmp();
+    let certifier = Certifier::from_spec_conservative(spec.clone(), 0).expect("derives");
+    let program = Program::parse(source, &spec).expect("parses");
+    for engine in [Engine::ScmpFds, Engine::ScmpRelational, Engine::ScmpInterproc] {
+        let report = certifier.certify_program(&program, engine).expect("certifies");
+        assert_eq!(report.lines(), Vec::<u32>::new(), "{engine}: {report}");
+    }
+    let dead = program
+        .main_method()
+        .expect("has main")
+        .cfg
+        .edges()
+        .iter()
+        .find_map(|e| match &e.instr {
+            Instr::CallComponent { at, .. } if at.what == "i.next()" => Some(at.clone()),
+            _ => None,
+        })
+        .expect("the dead call is lowered");
+    for engine in [Engine::ScmpFds, Engine::ScmpRelational] {
+        let (_, mut cert) =
+            certifier.certify_with_certificate(source, &program, engine).expect("certifies");
+        let outcome = check::check(source, &spec, certifier.derived(), &cert)
+            .unwrap_or_else(|e| panic!("{engine}: genuine certificate rejected: {e}"));
+        assert!(outcome.certified, "{engine}: {outcome:?}");
+        cert.violations.push(CertViolation {
+            method: "Main.main".to_string(),
+            line: dead.span.line,
+            col: dead.span.col,
+            what: dead.what.clone(),
+        });
+        let err = check::check_text(source, &spec, certifier.derived(), &cert.to_text())
+            .expect_err("a claimed dead-code violation must be rejected");
+        assert!(
+            matches!(err, CheckError::ViolationMismatch { claimed: 1, implied: 0 }),
+            "{engine}: expected ViolationMismatch, got {err}"
+        );
+    }
 }
 
 /// Doctoring the solution itself to hide the bit that feeds a violation

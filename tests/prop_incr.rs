@@ -14,6 +14,12 @@ fn certifier() -> Certifier {
     Certifier::from_spec(canvas_conformance::easl::builtin::cmp()).expect("cmp derives")
 }
 
+/// Parses a client against the cmp spec.
+fn parse(src: &str) -> canvas_conformance::minijava::Program {
+    let spec = canvas_conformance::easl::builtin::cmp();
+    canvas_conformance::minijava::Program::parse(src, &spec).expect("client parses")
+}
+
 fn incremental() -> IncrementalCertifier {
     IncrementalCertifier::new(certifier(), CertCache::in_memory())
 }
@@ -50,8 +56,8 @@ proptest! {
         let src = random_client(cfg, seed);
         let inc = incremental();
         for engine in [Engine::ScmpFds, Engine::ScmpInterproc] {
-            let (cold, cold_stats) = inc.certify_source_cached(&src, engine).expect("cold");
-            let (warm, warm_stats) = inc.certify_source_cached(&src, engine).expect("warm");
+            let (cold, cold_stats) = inc.certify_program_cached(&parse(&src), engine).expect("cold");
+            let (warm, warm_stats) = inc.certify_program_cached(&parse(&src), engine).expect("warm");
             prop_assert_eq!(report_digest(&cold), report_digest(&warm), "{}:\n{}", engine, src);
             prop_assert_eq!(cold_stats.hits, 0, "{engine}: cold run must not hit");
             prop_assert_eq!(warm_stats.misses, 0, "{engine}: warm run must not miss");
@@ -73,8 +79,8 @@ proptest! {
         let reference = certifier();
         for engine in [Engine::ScmpFds, Engine::ScmpInterproc] {
             let inc = incremental();
-            inc.certify_source_cached(&before, engine).expect("cold");
-            let (warm, stats) = inc.certify_source_cached(&after, engine).expect("edited");
+            inc.certify_program_cached(&parse(&before), engine).expect("cold");
+            let (warm, stats) = inc.certify_program_cached(&parse(&after), engine).expect("edited");
             let edited = canvas_conformance::minijava::Program::parse(&after, reference.spec())
                 .expect("edited program parses");
             let fresh = reference.certify_program(&edited, engine).expect("fresh");
@@ -114,7 +120,7 @@ proptest! {
         let engine = Engine::ScmpFds;
 
         let inc = IncrementalCertifier::new(certifier(), CertCache::open(&dir));
-        let (cold, _) = inc.certify_source_cached(&src, engine).expect("cold");
+        let (cold, _) = inc.certify_program_cached(&parse(&src), engine).expect("cold");
         inc.persist().expect("persist");
 
         // truncate the on-disk store at an arbitrary char boundary
@@ -127,7 +133,7 @@ proptest! {
         std::fs::write(&file, &text[..cut]).expect("truncate");
 
         let reopened = IncrementalCertifier::new(certifier(), CertCache::open(&dir));
-        let (again, _) = reopened.certify_source_cached(&src, engine).expect("reopened");
+        let (again, _) = reopened.certify_program_cached(&parse(&src), engine).expect("reopened");
         prop_assert_eq!(
             report_digest(&cold),
             report_digest(&again),

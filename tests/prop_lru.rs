@@ -16,6 +16,12 @@ fn certifier() -> Certifier {
     Certifier::from_spec(canvas_conformance::easl::builtin::cmp()).expect("cmp derives")
 }
 
+/// Parses a client against the cmp spec.
+fn parse(src: &str) -> canvas_conformance::minijava::Program {
+    let spec = canvas_conformance::easl::builtin::cmp();
+    canvas_conformance::minijava::Program::parse(src, &spec).expect("client parses")
+}
+
 /// A family of structurally distinct single-method clients: cache keys
 /// fingerprint the canonical IR, so distinctness must come from statement
 /// counts, not literals.
@@ -139,8 +145,8 @@ proptest! {
         let mut roomy_digests = Vec::new();
         for id in 0..count {
             let src = client(id);
-            tight.certify_source_cached(&src, engine).expect("tight cold");
-            let (r, _) = roomy.certify_source_cached(&src, engine).expect("roomy cold");
+            tight.certify_program_cached(&parse(&src), engine).expect("tight cold");
+            let (r, _) = roomy.certify_program_cached(&parse(&src), engine).expect("roomy cold");
             roomy_digests.push(report_digest(&r));
         }
         prop_assert!(
@@ -163,7 +169,7 @@ proptest! {
             certifier(),
             CertCache::open_budgeted(&tight_dir, Some(512)),
         );
-        let (again, stats) = reopened.certify_source_cached(&client(0), engine).expect("warm");
+        let (again, stats) = reopened.certify_program_cached(&parse(&client(0)), engine).expect("warm");
         prop_assert_eq!(stats.misses, 0, "the disk tier must answer an evicted key");
         prop_assert_eq!(report_digest(&again), roomy_digests[0].clone());
 
@@ -188,7 +194,7 @@ proptest! {
         let mut cold_digests = Vec::new();
         let (mut hits, mut misses) = (0u64, 0u64);
         for id in 0..count {
-            let (r, stats) = inc.certify_source_cached(&client(id), engine).expect("cold");
+            let (r, stats) = inc.certify_program_cached(&parse(&client(id)), engine).expect("cold");
             cold_digests.push(report_digest(&r));
             hits += stats.hits;
             misses += stats.misses;
@@ -204,7 +210,7 @@ proptest! {
         );
         // whether client(0) survived the budget or not, re-certifying it
         // yields the cold answer (an in-memory evictee is recomputed)
-        let (again, _) = inc.certify_source_cached(&client(0), engine).expect("again");
+        let (again, _) = inc.certify_program_cached(&parse(&client(0)), engine).expect("again");
         prop_assert_eq!(report_digest(&again), cold_digests[0].clone());
     }
 }
