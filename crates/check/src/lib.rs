@@ -209,11 +209,11 @@ fn val_new(width: usize) -> Val {
     vec![0; width.div_ceil(64)]
 }
 
-fn val_get(v: &Val, i: usize) -> bool {
+fn val_get(v: &[u64], i: usize) -> bool {
     v[i / 64] >> (i % 64) & 1 == 1
 }
 
-fn val_set(v: &mut Val, i: usize, b: bool) {
+fn val_set(v: &mut [u64], i: usize, b: bool) {
     let mask = 1u64 << (i % 64);
     if b {
         v[i / 64] |= mask;
@@ -222,7 +222,7 @@ fn val_set(v: &mut Val, i: usize, b: bool) {
     }
 }
 
-fn val_subset(a: &Val, b: &Val) -> bool {
+fn val_subset(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x & !y == 0)
 }
 
@@ -235,6 +235,41 @@ fn val_from(bits: &[u32], width: usize) -> Option<Val> {
         val_set(&mut v, b as usize, true);
     }
     Some(v)
+}
+
+/// The per-node rows of an FDS cell, decoded once into one flat word
+/// arena: row `n` is `words[n * stride..(n + 1) * stride]`.
+struct Rows {
+    words: Vec<u64>,
+    stride: usize,
+}
+
+impl Rows {
+    /// Decodes index lists into bit rows of `width` bits, or `None` if an
+    /// index is out of range.
+    fn decode(nodes: &[Vec<u32>], width: usize) -> Option<Rows> {
+        let stride = width.div_ceil(64);
+        let mut words = vec![0; nodes.len() * stride];
+        for (n, bits) in nodes.iter().enumerate() {
+            for &b in bits {
+                let b = b as usize;
+                if b >= width {
+                    return None;
+                }
+                // `b < width` keeps the word inside row `n`
+                val_set(&mut words[n * stride..], b, true);
+            }
+        }
+        Some(Rows { words, stride })
+    }
+
+    fn row(&self, n: usize) -> &[u64] {
+        &self.words[n * self.stride..(n + 1) * self.stride]
+    }
+
+    fn get(&self, n: usize, i: usize) -> bool {
+        val_get(self.row(n), i)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -255,20 +290,17 @@ fn replay_may_one(
     nodes: &[Vec<u32>],
     method: &str,
     stats: &mut CheckStats,
-) -> Result<Vec<Val>, CheckError> {
+) -> Result<Rows, CheckError> {
     let width = bp.preds.len();
     let shape = |detail: String| CheckError::ShapeMismatch { method: method.to_string(), detail };
     if nodes.len() != bp.node_count {
         return Err(shape(format!("{} solution rows for {} nodes", nodes.len(), bp.node_count)));
     }
-    let states: Vec<Val> = nodes
-        .iter()
-        .map(|bits| val_from(bits, width))
-        .collect::<Option<_>>()
+    let states = Rows::decode(nodes, width)
         .ok_or_else(|| shape("predicate index out of range".to_string()))?;
 
     for &k in &bp.entry_unknown {
-        if !val_get(&states[bp.entry], k) {
+        if !states.get(bp.entry, k) {
             return Err(CheckError::EntryNotCovered { method: method.to_string() });
         }
     }
@@ -283,18 +315,19 @@ fn replay_may_one(
         stats.edges_replayed += 1;
         stats.transfers += 1;
         // parallel assignment: operands read the pre-state, strong update
-        out.clone_from(&states[e.from]);
+        let pre = states.row(e.from);
+        out.copy_from_slice(pre);
         for (dst, rhs) in &e.assigns {
             let bit = match rhs {
                 Rhs::Havoc => true,
                 Rhs::Disj(ops) => ops.iter().any(|op| match op {
                     Operand::Const(c) => *c,
-                    Operand::Var(v) => val_get(&states[e.from], *v),
+                    Operand::Var(v) => val_get(pre, *v),
                 }),
             };
             val_set(&mut out, *dst, bit);
         }
-        if !val_subset(&out, &states[e.to]) {
+        if !val_subset(&out, states.row(e.to)) {
             return Err(CheckError::NotPostFixpoint {
                 method: method.to_string(),
                 from: e.from,
@@ -495,13 +528,20 @@ pub fn check(
     let methods = program.methods();
     let expected_entry =
         |m: MethodId| if m == main { EntryAssumption::Clean } else { EntryAssumption::Unknown };
-    let by_name: HashMap<String, MethodId> =
-        methods.iter().map(|m| (m.qualified_name(), m.id)).collect();
+    // keyed by (class, method): a qualified name `Class.method` splits at
+    // its one dot (identifiers hold none), so no lookup allocates a key
+    let by_name: HashMap<(&str, &str), MethodId> =
+        methods.iter().map(|m| ((m.class.as_str(), m.name.as_str()), m.id)).collect();
     // each cell's method, if the cell is one of the expected set
     let cell_methods: Vec<Option<MethodId>> = cert
         .cells
         .iter()
-        .map(|c| by_name.get(&c.method).copied().filter(|&m| expected_entry(m) == c.entry))
+        .map(|c| {
+            c.method
+                .split_once('.')
+                .and_then(|key| by_name.get(&key).copied())
+                .filter(|&m| expected_entry(m) == c.entry)
+        })
         .collect();
     let mut cells_of = vec![0usize; methods.len()];
     for m in cell_methods.iter().flatten() {
@@ -554,7 +594,7 @@ pub fn check(
             }
             CellSolution::MayOne { nodes } => {
                 let states = replay_may_one(&bp, nodes, &cell.method, &mut stats)?;
-                implied.extend(implied_violations(&program, &bp, |n, v| val_get(&states[n], v)));
+                implied.extend(implied_violations(&program, &bp, |n, v| states.get(n, v)));
             }
             CellSolution::Relational { nodes } => {
                 let states = replay_relational(&bp, nodes, &cell.method, &mut stats)?;
@@ -599,5 +639,17 @@ mod tests {
         assert!(val_subset(&a, &b));
         assert!(!val_subset(&b, &a));
         assert!(val_from(&[8], 8).is_none(), "out-of-range index must be rejected");
+    }
+
+    #[test]
+    fn rows_decode_into_one_arena() {
+        let rows = Rows::decode(&[vec![0, 64], vec![], vec![129]], 130).unwrap();
+        assert_eq!((rows.stride, rows.words.len()), (3, 9));
+        assert!(rows.get(0, 0) && rows.get(0, 64) && !rows.get(0, 1));
+        assert!(!rows.get(1, 0) && rows.get(2, 129));
+        assert_eq!(rows.row(1), [0, 0, 0]);
+        assert!(Rows::decode(&[vec![], vec![130]], 130).is_none(), "out-of-range index");
+        assert!(Rows::decode(&[vec![], vec![]], 0).is_some(), "zero-width rows");
+        assert!(Rows::decode(&[vec![0]], 0).is_none(), "no index fits a zero-width row");
     }
 }

@@ -184,7 +184,9 @@ impl Certifier {
     ///
     /// See [`Certifier::certify`], plus source errors.
     pub fn certify_source(&self, src: &str, engine: Engine) -> Result<Report, CertifyError> {
-        let program = Program::parse(src, &self.spec)?;
+        // fault-injection point: under CANVAS_FAULT=truncate-input the
+        // front end sees half the source, which must surface as Err
+        let program = Program::parse(canvas_faults::truncate_input(src), &self.spec)?;
         self.certify(&program, engine)
     }
 

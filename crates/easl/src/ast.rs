@@ -21,9 +21,6 @@ impl Spec {
     /// Returns an [`EaslError`] on lexical, syntactic or resolution errors
     /// (unknown types, unknown fields, `requires` not at method entry, …).
     pub fn parse(name: impl Into<String>, src: &str) -> Result<Spec, EaslError> {
-        // fault-injection point: under CANVAS_FAULT=truncate-input the
-        // source is cut in half, which must surface as Err, never a panic
-        let src = canvas_faults::truncate_input(src);
         parser::parse_spec(name.into(), src)
     }
 

@@ -133,10 +133,7 @@ pub fn unbounded() -> Spec {
 }
 
 fn parse_builtin(name: &str, src: &str) -> Spec {
-    // calls the parser directly: built-in sources are compile-time
-    // constants, not external input, so the `truncate-input` fault
-    // injection point in `Spec::parse` must not apply to them
-    match crate::parser::parse_spec(name.to_string(), src) {
+    match Spec::parse(name, src) {
         Ok(s) => s,
         Err(e) => unreachable!("built-in spec {name} must parse: {e}"),
     }

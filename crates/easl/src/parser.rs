@@ -12,43 +12,44 @@ use crate::EaslError;
 // Raw (unresolved) syntax
 // ---------------------------------------------------------------------------
 
+// Names borrow the source text; resolution copies out only what the
+// resolved `Spec` keeps.
+
 #[derive(Debug)]
-struct RawClass {
-    name: String,
+struct RawClass<'src> {
+    name: &'src str,
     line: u32,
-    fields: Vec<(String, String, u32)>, // (type, name, line)
-    methods: Vec<RawMethod>,
+    fields: Vec<(&'src str, &'src str, u32)>, // (type, name, line)
+    methods: Vec<RawMethod<'src>>,
 }
 
 #[derive(Debug)]
-struct RawMethod {
-    name: String, // ClassSpec::CTOR for constructors
-    ret_ty: Option<String>,
-    params: Vec<(String, String)>, // (type, name)
-    stmts: Vec<RawStmt>,
-    #[allow(dead_code)] // kept for future diagnostics
-    line: u32,
+struct RawMethod<'src> {
+    name: &'src str, // ClassSpec::CTOR for constructors
+    ret_ty: Option<&'src str>,
+    params: Vec<(&'src str, &'src str)>, // (type, name)
+    stmts: Vec<RawStmt<'src>>,
 }
 
 #[derive(Debug)]
-enum RawStmt {
-    Requires(RawCond, u32),
-    Assign(Vec<String>, RawRhs, u32),
-    Return(RawRhs, u32),
+enum RawStmt<'src> {
+    Requires(RawCond<'src>, u32),
+    Assign(Vec<&'src str>, RawRhs<'src>, u32),
+    Return(RawRhs<'src>, u32),
 }
 
 #[derive(Debug)]
-enum RawRhs {
-    Chain(Vec<String>),
-    New(String, Vec<RawRhs>, u32),
+enum RawRhs<'src> {
+    Chain(Vec<&'src str>),
+    New(&'src str, Vec<RawRhs<'src>>, u32),
 }
 
 #[derive(Debug)]
-enum RawCond {
-    Cmp(bool, Vec<String>, Vec<String>), // positive, lhs chain, rhs chain
-    And(Box<RawCond>, Box<RawCond>),
-    Or(Box<RawCond>, Box<RawCond>),
-    Not(Box<RawCond>),
+enum RawCond<'src> {
+    Cmp(bool, Vec<&'src str>, Vec<&'src str>), // positive, lhs chain, rhs chain
+    And(Box<RawCond<'src>>, Box<RawCond<'src>>),
+    Or(Box<RawCond<'src>>, Box<RawCond<'src>>),
+    Not(Box<RawCond<'src>>),
 }
 
 // ---------------------------------------------------------------------------
@@ -67,7 +68,7 @@ pub(crate) fn parse_spec(name: String, src: &str) -> Result<Spec, EaslError> {
     resolve(name, raw)
 }
 
-fn parse_class(cur: &mut Cursor) -> Result<RawClass, EaslError> {
+fn parse_class<'src>(cur: &mut Cursor<'src>) -> Result<RawClass<'src>, EaslError> {
     let line = cur.line();
     cur.expect_kw("class")?;
     let name = cur.expect_ident()?;
@@ -87,26 +88,14 @@ fn parse_class(cur: &mut Cursor) -> Result<RawClass, EaslError> {
             }
             let params = parse_params(cur)?;
             let stmts = parse_block(cur)?;
-            methods.push(RawMethod {
-                name: ClassSpec::CTOR.to_string(),
-                ret_ty: None,
-                params,
-                stmts,
-                line: mline,
-            });
+            methods.push(RawMethod { name: ClassSpec::CTOR, ret_ty: None, params, stmts });
         } else {
             let second = cur.expect_ident()?;
             if matches!(cur.peek(), Some(Tok::Punct("("))) {
                 // method: RetType name ( params ) { ... }
                 let params = parse_params(cur)?;
                 let stmts = parse_block(cur)?;
-                methods.push(RawMethod {
-                    name: second,
-                    ret_ty: Some(first),
-                    params,
-                    stmts,
-                    line: mline,
-                });
+                methods.push(RawMethod { name: second, ret_ty: Some(first), params, stmts });
             } else {
                 // field: Type name ;
                 cur.expect(";")?;
@@ -117,7 +106,7 @@ fn parse_class(cur: &mut Cursor) -> Result<RawClass, EaslError> {
     Ok(RawClass { name, line, fields, methods })
 }
 
-fn parse_params(cur: &mut Cursor) -> Result<Vec<(String, String)>, EaslError> {
+fn parse_params<'src>(cur: &mut Cursor<'src>) -> Result<Vec<(&'src str, &'src str)>, EaslError> {
     cur.expect("(")?;
     let mut out = Vec::new();
     if !cur.eat(")") {
@@ -134,7 +123,7 @@ fn parse_params(cur: &mut Cursor) -> Result<Vec<(String, String)>, EaslError> {
     Ok(out)
 }
 
-fn parse_block(cur: &mut Cursor) -> Result<Vec<RawStmt>, EaslError> {
+fn parse_block<'src>(cur: &mut Cursor<'src>) -> Result<Vec<RawStmt<'src>>, EaslError> {
     cur.expect("{")?;
     let mut out = Vec::new();
     while !cur.eat("}") {
@@ -143,7 +132,7 @@ fn parse_block(cur: &mut Cursor) -> Result<Vec<RawStmt>, EaslError> {
     Ok(out)
 }
 
-fn parse_stmt(cur: &mut Cursor) -> Result<RawStmt, EaslError> {
+fn parse_stmt<'src>(cur: &mut Cursor<'src>) -> Result<RawStmt<'src>, EaslError> {
     let line = cur.line();
     if cur.eat_kw("requires") {
         cur.expect("(")?;
@@ -164,7 +153,7 @@ fn parse_stmt(cur: &mut Cursor) -> Result<RawStmt, EaslError> {
     Ok(RawStmt::Assign(chain, rhs, line))
 }
 
-fn parse_rhs(cur: &mut Cursor) -> Result<RawRhs, EaslError> {
+fn parse_rhs<'src>(cur: &mut Cursor<'src>) -> Result<RawRhs<'src>, EaslError> {
     let line = cur.line();
     if cur.eat_kw("new") {
         let ty = cur.expect_ident()?;
@@ -184,7 +173,7 @@ fn parse_rhs(cur: &mut Cursor) -> Result<RawRhs, EaslError> {
     Ok(RawRhs::Chain(parse_chain(cur)?))
 }
 
-fn parse_chain(cur: &mut Cursor) -> Result<Vec<String>, EaslError> {
+fn parse_chain<'src>(cur: &mut Cursor<'src>) -> Result<Vec<&'src str>, EaslError> {
     let mut out = vec![cur.expect_ident()?];
     while cur.eat(".") {
         out.push(cur.expect_ident()?);
@@ -192,7 +181,7 @@ fn parse_chain(cur: &mut Cursor) -> Result<Vec<String>, EaslError> {
     Ok(out)
 }
 
-fn parse_or(cur: &mut Cursor) -> Result<RawCond, EaslError> {
+fn parse_or<'src>(cur: &mut Cursor<'src>) -> Result<RawCond<'src>, EaslError> {
     let mut lhs = parse_and(cur)?;
     while cur.eat("||") {
         let rhs = parse_and(cur)?;
@@ -201,7 +190,7 @@ fn parse_or(cur: &mut Cursor) -> Result<RawCond, EaslError> {
     Ok(lhs)
 }
 
-fn parse_and(cur: &mut Cursor) -> Result<RawCond, EaslError> {
+fn parse_and<'src>(cur: &mut Cursor<'src>) -> Result<RawCond<'src>, EaslError> {
     let mut lhs = parse_unary(cur)?;
     while cur.eat("&&") {
         let rhs = parse_unary(cur)?;
@@ -210,7 +199,7 @@ fn parse_and(cur: &mut Cursor) -> Result<RawCond, EaslError> {
     Ok(lhs)
 }
 
-fn parse_unary(cur: &mut Cursor) -> Result<RawCond, EaslError> {
+fn parse_unary<'src>(cur: &mut Cursor<'src>) -> Result<RawCond<'src>, EaslError> {
     if cur.eat("!") {
         return Ok(RawCond::Not(Box::new(parse_unary(cur)?)));
     }
@@ -237,40 +226,40 @@ fn parse_unary(cur: &mut Cursor) -> Result<RawCond, EaslError> {
 // Resolution
 // ---------------------------------------------------------------------------
 
-struct Ctx<'a> {
+struct Ctx<'a, 'src> {
     /// class name -> (field name -> field type)
-    classes: &'a HashMap<String, HashMap<String, String>>,
-    class_name: &'a str,
-    params: &'a [(String, String)], // (type, name)
+    classes: &'a HashMap<&'src str, HashMap<&'src str, &'src str>>,
+    class_name: &'src str,
+    params: &'a [(&'src str, &'src str)], // (type, name)
 }
 
-fn resolve(name: String, raw: Vec<RawClass>) -> Result<Spec, EaslError> {
-    let mut class_fields: HashMap<String, HashMap<String, String>> = HashMap::new();
+fn resolve(name: String, raw: Vec<RawClass<'_>>) -> Result<Spec, EaslError> {
+    let mut class_fields: HashMap<&str, HashMap<&str, &str>> = HashMap::new();
     for c in &raw {
-        if class_fields.contains_key(&c.name) {
+        if class_fields.contains_key(c.name) {
             return Err(EaslError::new(c.line, format!("duplicate class {:?}", c.name)));
         }
         let mut fm = HashMap::new();
-        for (ty, fname, fline) in &c.fields {
-            if fm.insert(fname.clone(), ty.clone()).is_some() {
-                return Err(EaslError::new(*fline, format!("duplicate field {fname:?}")));
+        for &(ty, fname, fline) in &c.fields {
+            if fm.insert(fname, ty).is_some() {
+                return Err(EaslError::new(fline, format!("duplicate field {fname:?}")));
             }
-            if !raw.iter().any(|d| &d.name == ty) {
+            if !raw.iter().any(|d| d.name == ty) {
                 return Err(EaslError::new(
-                    *fline,
+                    fline,
                     format!("field {fname:?} has unknown component type {ty:?}"),
                 ));
             }
         }
-        class_fields.insert(c.name.clone(), fm);
+        class_fields.insert(c.name, fm);
     }
 
-    let ctor_arity: HashMap<String, usize> = raw
+    let ctor_arity: HashMap<&str, usize> = raw
         .iter()
         .map(|c| {
             let arity =
                 c.methods.iter().find(|m| m.name == ClassSpec::CTOR).map_or(0, |m| m.params.len());
-            (c.name.clone(), arity)
+            (c.name, arity)
         })
         .collect();
 
@@ -278,32 +267,27 @@ fn resolve(name: String, raw: Vec<RawClass>) -> Result<Spec, EaslError> {
     for c in &raw {
         let mut methods = Vec::new();
         for m in &c.methods {
-            let ctx = Ctx { classes: &class_fields, class_name: &c.name, params: &m.params };
-            methods.push(resolve_method(c, m, &ctx, &ctor_arity)?);
+            let ctx = Ctx { classes: &class_fields, class_name: c.name, params: &m.params };
+            methods.push(resolve_method(m, &ctx, &ctor_arity)?);
         }
         let fields = c
             .fields
             .iter()
-            .map(|(ty, fname, _)| FieldDecl::new(fname.clone(), TypeName::new(ty.clone())))
+            .map(|&(ty, fname, _)| FieldDecl::new(fname, TypeName::new(ty)))
             .collect();
-        classes.push(ClassSpec::new(TypeName::new(c.name.clone()), fields, methods));
+        classes.push(ClassSpec::new(TypeName::new(c.name), fields, methods));
     }
     Ok(Spec::from_classes(name, classes))
 }
 
 fn resolve_method(
-    class: &RawClass,
-    m: &RawMethod,
-    ctx: &Ctx<'_>,
-    ctor_arity: &HashMap<String, usize>,
+    m: &RawMethod<'_>,
+    ctx: &Ctx<'_, '_>,
+    ctor_arity: &HashMap<&str, usize>,
 ) -> Result<MethodSpec, EaslError> {
     let params: Vec<(String, TypeName)> =
-        m.params.iter().map(|(ty, n)| (n.clone(), TypeName::new(ty.clone()))).collect();
-    let ret_ty = m
-        .ret_ty
-        .as_ref()
-        .filter(|t| ctx.classes.contains_key(*t))
-        .map(|t| TypeName::new(t.clone()));
+        m.params.iter().map(|&(ty, n)| (n.to_string(), TypeName::new(ty))).collect();
+    let ret_ty = m.ret_ty.filter(|t| ctx.classes.contains_key(t)).map(TypeName::new);
 
     let mut requires: Option<Formula> = None;
     let mut body = Vec::new();
@@ -348,26 +332,25 @@ fn resolve_method(
             }
         }
     }
-    let _ = class;
-    Ok(MethodSpec::new(m.name.clone(), params, ret_ty, requires, body, ret))
+    Ok(MethodSpec::new(m.name, params, ret_ty, requires, body, ret))
 }
 
-fn resolve_chain(chain: &[String], ctx: &Ctx<'_>, line: u32) -> Result<SpecPath, EaslError> {
-    let (base, mut ty, rest): (SpecVar, String, &[String]) = if chain[0] == "this" {
-        (SpecVar::This, ctx.class_name.to_string(), &chain[1..])
-    } else if let Some(k) = ctx.params.iter().position(|(_, n)| n == &chain[0]) {
-        (SpecVar::Param(k), ctx.params[k].0.clone(), &chain[1..])
-    } else if ctx.classes[ctx.class_name].contains_key(&chain[0]) {
-        (SpecVar::This, ctx.class_name.to_string(), chain)
+fn resolve_chain(chain: &[&str], ctx: &Ctx<'_, '_>, line: u32) -> Result<SpecPath, EaslError> {
+    let (base, mut ty, rest): (SpecVar, &str, &[&str]) = if chain[0] == "this" {
+        (SpecVar::This, ctx.class_name, &chain[1..])
+    } else if let Some(k) = ctx.params.iter().position(|&(_, n)| n == chain[0]) {
+        (SpecVar::Param(k), ctx.params[k].0, &chain[1..])
+    } else if ctx.classes[ctx.class_name].contains_key(chain[0]) {
+        (SpecVar::This, ctx.class_name, chain)
     } else {
         return Err(EaslError::new(
             line,
             format!("unknown identifier {:?} (not a parameter or field)", chain[0]),
         ));
     };
-    let mut fields = Vec::new();
-    for f in rest {
-        let class = ctx.classes.get(&ty).ok_or_else(|| {
+    let mut fields = Vec::with_capacity(rest.len());
+    for &f in rest {
+        let class = ctx.classes.get(ty).ok_or_else(|| {
             EaslError::new(
                 line,
                 format!("cannot select field {f:?} from non-component type {ty:?}"),
@@ -375,23 +358,22 @@ fn resolve_chain(chain: &[String], ctx: &Ctx<'_>, line: u32) -> Result<SpecPath,
         })?;
         ty = class
             .get(f)
-            .ok_or_else(|| EaslError::new(line, format!("type {ty:?} has no field {f:?}")))?
-            .clone();
-        fields.push(f.clone());
+            .ok_or_else(|| EaslError::new(line, format!("type {ty:?} has no field {f:?}")))?;
+        fields.push(f);
     }
     Ok(SpecPath::new(base, fields))
 }
 
 fn resolve_rhs(
-    rhs: &RawRhs,
-    ctx: &Ctx<'_>,
-    ctor_arity: &HashMap<String, usize>,
+    rhs: &RawRhs<'_>,
+    ctx: &Ctx<'_, '_>,
+    ctor_arity: &HashMap<&str, usize>,
     line: u32,
 ) -> Result<SpecExpr, EaslError> {
     match rhs {
         RawRhs::Chain(chain) => Ok(SpecExpr::Path(resolve_chain(chain, ctx, line)?)),
         RawRhs::New(ty, args, nline) => {
-            let arity = *ctor_arity.get(ty).ok_or_else(|| {
+            let arity = *ctor_arity.get(*ty).ok_or_else(|| {
                 EaslError::new(*nline, format!("allocation of unknown class {ty:?}"))
             })?;
             if args.len() != arity {
@@ -407,12 +389,12 @@ fn resolve_rhs(
                 .iter()
                 .map(|a| resolve_rhs(a, ctx, ctor_arity, *nline))
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(SpecExpr::New { ty: TypeName::new(ty.clone()), args })
+            Ok(SpecExpr::New { ty: TypeName::new(*ty), args })
         }
     }
 }
 
-fn resolve_cond(cond: &RawCond, ctx: &Ctx<'_>, line: u32) -> Result<Formula, EaslError> {
+fn resolve_cond(cond: &RawCond<'_>, ctx: &Ctx<'_, '_>, line: u32) -> Result<Formula, EaslError> {
     Ok(match cond {
         RawCond::Cmp(positive, l, r) => {
             let lp = chain_term(l, ctx, line)?;
@@ -433,13 +415,13 @@ fn resolve_cond(cond: &RawCond, ctx: &Ctx<'_>, line: u32) -> Result<Formula, Eas
     })
 }
 
-fn chain_term(chain: &[String], ctx: &Ctx<'_>, line: u32) -> Result<Term, EaslError> {
+fn chain_term(chain: &[&str], ctx: &Ctx<'_, '_>, line: u32) -> Result<Term, EaslError> {
     let sp = resolve_chain(chain, ctx, line)?;
     let base = match sp.base() {
         SpecVar::This => Var::new("this", TypeName::new(ctx.class_name)),
         SpecVar::Param(k) => {
-            let (ty, n) = &ctx.params[k];
-            Var::new(n.clone(), TypeName::new(ty.clone()))
+            let (ty, n) = ctx.params[k];
+            Var::new(n, TypeName::new(ty))
         }
     };
     let mut p = AccessPath::of(base);

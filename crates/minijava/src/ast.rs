@@ -1,10 +1,14 @@
 //! The mini-Java abstract syntax tree (pre-lowering).
+//!
+//! Method bodies borrow every name from the source text (`'src`) and live
+//! only between parsing and lowering; a lowered [`crate::Program`] keeps
+//! just the class declarations ([`ClassDecl`]: name, fields, statics).
 
 use canvas_logic::TypeName;
 
 use crate::ir::Span;
 
-/// A class declaration.
+/// A class declaration, as a lowered [`crate::Program`] keeps it.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ClassDecl {
     /// Class name.
@@ -13,10 +17,18 @@ pub struct ClassDecl {
     pub fields: Vec<FieldDecl>,
     /// Static fields (treated as global variables by the analyses).
     pub statics: Vec<FieldDecl>,
-    /// Methods, including constructors under the name `<init>`.
-    pub methods: Vec<MethodDecl>,
     /// Declaration position.
     pub span: Span,
+}
+
+/// A parsed class: its kept declaration plus the method bodies lowering
+/// consumes.
+#[derive(Debug)]
+pub(crate) struct ClassAst<'src> {
+    /// Name, fields, statics and span.
+    pub decl: ClassDecl,
+    /// Methods, including constructors under the name `<init>`.
+    pub methods: Vec<MethodDecl<'src>>,
 }
 
 /// A field declaration.
@@ -31,18 +43,18 @@ pub struct FieldDecl {
 }
 
 /// A method declaration.
-#[derive(Clone, PartialEq, Debug)]
-pub struct MethodDecl {
+#[derive(Debug)]
+pub(crate) struct MethodDecl<'src> {
     /// Method name (`<init>` for constructors).
-    pub name: String,
+    pub name: &'src str,
     /// Whether the method is `static`.
     pub is_static: bool,
     /// Parameters as (name, type).
-    pub params: Vec<(String, TypeName)>,
+    pub params: Vec<(&'src str, TypeName)>,
     /// Declared return type (`None` for `void`).
     pub ret_ty: Option<TypeName>,
     /// Body statements.
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'src>>,
     /// Declaration position.
     pub span: Span,
     /// Line of the body's closing brace.
@@ -50,32 +62,32 @@ pub struct MethodDecl {
 }
 
 /// A statement.
-#[derive(Clone, PartialEq, Debug)]
-pub enum Stmt {
+#[derive(Debug)]
+pub(crate) enum Stmt<'src> {
     /// `T x;` or `T x = e;`
     VarDecl {
         /// Variable name.
-        name: String,
+        name: &'src str,
         /// Declared type.
         ty: TypeName,
         /// Optional initializer.
-        init: Option<Expr>,
+        init: Option<Expr<'src>>,
         /// Source position.
         span: Span,
     },
     /// `lhs = e;`
     Assign {
         /// Assigned location.
-        lhs: LValue,
+        lhs: LValue<'src>,
         /// Assigned value.
-        rhs: Expr,
+        rhs: Expr<'src>,
         /// Source position.
         span: Span,
     },
     /// An expression evaluated for effect, e.g. a call.
-    ExprStmt {
+    Expr {
         /// The expression.
-        expr: Expr,
+        expr: Expr<'src>,
         /// Source position.
         span: Span,
     },
@@ -83,11 +95,11 @@ pub enum Stmt {
     /// component calls it contains; the branch itself is nondeterministic.
     If {
         /// Component-relevant expressions evaluated by the condition.
-        cond_effects: Vec<Expr>,
+        cond_effects: Vec<Expr<'src>>,
         /// Then branch.
-        then: Vec<Stmt>,
+        then: Vec<Stmt<'src>>,
         /// Else branch.
-        els: Vec<Stmt>,
+        els: Vec<Stmt<'src>>,
         /// Source position.
         span: Span,
     },
@@ -95,79 +107,71 @@ pub enum Stmt {
     /// effects are evaluated before every iteration test.
     While {
         /// Component-relevant expressions evaluated by the condition.
-        cond_effects: Vec<Expr>,
+        cond_effects: Vec<Expr<'src>>,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'src>>,
         /// Source position.
         span: Span,
     },
     /// `return;` or `return e;`
     Return {
         /// Returned value.
-        value: Option<Expr>,
+        value: Option<Expr<'src>>,
         /// Source position.
         span: Span,
     },
     /// A statement sequence with no branching (used by the `for` desugar to
     /// splice the init statement before the loop).
-    Block(Vec<Stmt>),
+    Block(Vec<Stmt<'src>>),
 }
 
 /// An assignable location.
-#[derive(Clone, PartialEq, Debug)]
-pub enum LValue {
+#[derive(Debug)]
+pub(crate) enum LValue<'src> {
     /// A local variable, parameter, or (possibly unqualified) static field.
-    Var(String),
+    Var(&'src str),
     /// `base.field`; chained bases are flattened via temporaries during
     /// lowering.
     Field {
         /// The base expression (`this` allowed).
-        base: Box<Expr>,
+        base: Box<Expr<'src>>,
         /// The stored-to field.
-        field: String,
+        field: &'src str,
     },
 }
 
-/// An expression.
-#[derive(Clone, PartialEq, Debug)]
-pub enum Expr {
+/// An expression. Its `Debug` rendering appears in parse errors.
+#[derive(Debug)]
+pub(crate) enum Expr<'src> {
     /// A variable reference (`x`, `this`, or an unqualified static).
-    Var(String),
+    Var(&'src str),
     /// `base.field` — reading a field.
     FieldGet {
         /// Base expression.
-        base: Box<Expr>,
+        base: Box<Expr<'src>>,
         /// Read field.
-        field: String,
+        field: &'src str,
     },
     /// `new T(args)`.
     New {
         /// Allocated type.
         ty: TypeName,
         /// Constructor arguments.
-        args: Vec<Expr>,
+        args: Vec<Expr<'src>>,
         /// Source position (identifies the allocation site).
         span: Span,
     },
     /// `recv.m(args)` or `m(args)` (implicit receiver / static call).
     Call {
         /// Receiver, if any.
-        recv: Option<Box<Expr>>,
+        recv: Option<Box<Expr<'src>>>,
         /// Method name.
-        method: String,
+        method: &'src str,
         /// Arguments.
-        args: Vec<Expr>,
+        args: Vec<Expr<'src>>,
         /// Source position (identifies the call site).
         span: Span,
     },
     /// Anything the analyses do not track: literals, arithmetic, `null`, …
     Opaque,
-}
-
-impl Expr {
-    /// Whether the expression is component-relevant (may produce or consume
-    /// tracked references): everything except [`Expr::Opaque`].
-    pub fn is_tracked(&self) -> bool {
-        !matches!(self, Expr::Opaque)
-    }
 }

@@ -315,9 +315,6 @@ impl Program {
     /// Returns a [`SourceError`] on lexical/syntactic errors, unknown
     /// identifiers or types, arity mismatches, or unsupported constructs.
     pub fn parse(src: &str, spec: &Spec) -> Result<Program, SourceError> {
-        // fault-injection point: under CANVAS_FAULT=truncate-input the
-        // source is cut in half, which must surface as Err, never a panic
-        let src = canvas_faults::truncate_input(src);
         crate::lower::parse_and_lower(src, spec)
     }
 

@@ -54,7 +54,7 @@ mod lower;
 mod parser;
 pub mod synth;
 
-pub use ast::{ClassDecl, Expr, FieldDecl, LValue, MethodDecl, Stmt};
+pub use ast::{ClassDecl, FieldDecl};
 pub use ir::{
     AllocSite, Cfg, Edge, Instr, MethodId, MethodIr, NodeId, Program, Site, Span, VarId, VarKind,
     Variable,

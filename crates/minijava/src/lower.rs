@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use canvas_easl::{ClassSpec, Spec};
 use canvas_logic::TypeName;
 
-use crate::ast::{ClassDecl, Expr, LValue, Stmt};
+use crate::ast::{ClassAst, Expr, LValue, MethodDecl, Stmt};
 use crate::ir::{
     AllocSite, Cfg, Instr, MethodId, MethodIr, NodeId, Program, Site, Span, VarId, VarKind,
     Variable,
@@ -27,23 +27,25 @@ enum TyKind {
     Opaque,
 }
 
-struct MethodSig {
-    #[allow(dead_code)] // kept for symmetry with method_ids
-    id: MethodId,
-    class: String,
-    name: String,
+struct MethodSig<'a> {
+    class: &'a str,
+    name: &'a str,
     is_static: bool,
-    params: Vec<TypeName>,
+    /// Declared parameter count (without the receiver).
+    arity: usize,
     ret_ty: Option<TypeName>,
 }
 
+/// Name-resolution tables. Every key borrows the source text or the
+/// parsed classes, so a lookup such as `method_ids.get(&(class, name))`
+/// builds its key without allocating.
 struct Tables<'a> {
     spec: &'a Spec,
-    classes: &'a [ClassDecl],
-    class_idx: HashMap<String, usize>,
-    sigs: Vec<MethodSig>,
-    method_ids: HashMap<(String, String), MethodId>,
-    statics: HashMap<(String, String), VarId>,
+    classes: &'a [ClassAst<'a>],
+    class_idx: HashMap<&'a str, usize>,
+    sigs: Vec<MethodSig<'a>>,
+    method_ids: HashMap<(&'a str, &'a str), MethodId>,
+    statics: HashMap<(&'a str, &'a str), VarId>,
 }
 
 impl Tables<'_> {
@@ -59,79 +61,15 @@ impl Tables<'_> {
 
     fn client_field_ty(&self, class: &TypeName, field: &str) -> Option<TypeName> {
         let c = &self.classes[*self.class_idx.get(class.as_str())?];
-        c.fields.iter().find(|f| f.name == field).map(|f| f.ty)
+        c.decl.fields.iter().find(|f| f.name == field).map(|f| f.ty)
     }
 }
 
 pub(crate) fn parse_and_lower(src: &str, spec: &Spec) -> Result<Program, SourceError> {
-    let classes = parser::parse_program(src)?;
-
-    let mut class_idx = HashMap::new();
-    for (k, c) in classes.iter().enumerate() {
-        if spec.is_component_type(&c.name) {
-            return Err(SourceError::new(
-                c.span.line,
-                format!("client class {} shadows a component class", c.name),
-            ));
-        }
-        if class_idx.insert(c.name.as_str().to_string(), k).is_some() {
-            return Err(SourceError::new(c.span.line, format!("duplicate class {}", c.name)));
-        }
-    }
-
-    // method signatures & ids
-    let mut sigs = Vec::new();
-    let mut method_ids = HashMap::new();
-    for c in &classes {
-        for m in &c.methods {
-            let id = MethodId(sigs.len());
-            let key = (c.name.as_str().to_string(), m.name.clone());
-            if method_ids.insert(key, id).is_some() {
-                return Err(SourceError::new(
-                    m.span.line,
-                    format!("duplicate method {}.{} (no overloading)", c.name, m.name),
-                ));
-            }
-            sigs.push(MethodSig {
-                id,
-                class: c.name.as_str().to_string(),
-                name: m.name.clone(),
-                is_static: m.is_static,
-                params: m.params.iter().map(|(_, t)| *t).collect(),
-                ret_ty: m.ret_ty,
-            });
-        }
-    }
-
-    // statics become global variables
+    let asts = parser::parse_program(src)?;
     let mut vars: Vec<Variable> = Vec::new();
-    let mut statics = HashMap::new();
-    for c in &classes {
-        for f in &c.statics {
-            let id = VarId(vars.len());
-            vars.push(Variable {
-                id,
-                name: format!("{}.{}", c.name, f.name),
-                ty: f.ty,
-                owner: None,
-                kind: VarKind::Static,
-            });
-            statics.insert((c.name.as_str().to_string(), f.name.clone()), id);
-        }
-    }
-
-    let tables = Tables { spec, classes: &classes, class_idx, sigs, method_ids, statics };
-
-    let mut methods = Vec::new();
-    let mut alloc_count: u32 = 0;
-    for c in &classes {
-        for m in &c.methods {
-            let mid = tables.method_ids[&(c.name.as_str().to_string(), m.name.clone())];
-            let ir = lower_method(&tables, c, m, mid, &mut vars, &mut alloc_count)?;
-            methods.push(ir);
-        }
-    }
-    methods.sort_by_key(|m| m.id);
+    let methods = lower_classes(&asts, spec, &mut vars)?;
+    let classes: Vec<_> = asts.into_iter().map(|c| c.decl).collect();
 
     let scmp_shaped =
         classes.iter().all(|c| c.fields.iter().all(|f| !spec.is_component_type(&f.ty)));
@@ -145,21 +83,97 @@ pub(crate) fn parse_and_lower(src: &str, spec: &Spec) -> Result<Program, SourceE
     Ok(Program { classes, vars, methods, component_types, scmp_shaped })
 }
 
-struct Lower<'a, 'b> {
-    t: &'a Tables<'b>,
+/// Builds the resolution tables, then lowers every method in declaration
+/// order (the order fixes variable and allocation-site numbering).
+fn lower_classes<'a>(
+    classes: &'a [ClassAst<'a>],
+    spec: &'a Spec,
+    vars: &mut Vec<Variable>,
+) -> Result<Vec<MethodIr>, SourceError> {
+    let mut class_idx = HashMap::with_capacity(classes.len());
+    for (k, c) in classes.iter().enumerate() {
+        let c = &c.decl;
+        if spec.is_component_type(&c.name) {
+            return Err(SourceError::new(
+                c.span.line,
+                format!("client class {} shadows a component class", c.name),
+            ));
+        }
+        if class_idx.insert(c.name.as_str(), k).is_some() {
+            return Err(SourceError::new(c.span.line, format!("duplicate class {}", c.name)));
+        }
+    }
+
+    // method signatures & ids
+    let mut sigs = Vec::new();
+    let mut method_ids = HashMap::new();
+    for c in classes {
+        let class = c.decl.name.as_str();
+        for m in &c.methods {
+            let id = MethodId(sigs.len());
+            if method_ids.insert((class, m.name), id).is_some() {
+                return Err(SourceError::new(
+                    m.span.line,
+                    format!("duplicate method {class}.{} (no overloading)", m.name),
+                ));
+            }
+            sigs.push(MethodSig {
+                class,
+                name: m.name,
+                is_static: m.is_static,
+                arity: m.params.len(),
+                ret_ty: m.ret_ty,
+            });
+        }
+    }
+
+    // statics become global variables
+    let mut statics = HashMap::new();
+    for c in classes {
+        let class = c.decl.name.as_str();
+        for f in &c.decl.statics {
+            let id = VarId(vars.len());
+            vars.push(Variable {
+                id,
+                name: format!("{class}.{}", f.name),
+                ty: f.ty,
+                owner: None,
+                kind: VarKind::Static,
+            });
+            statics.insert((class, f.name.as_str()), id);
+        }
+    }
+
+    let tables = Tables { spec, classes, class_idx, sigs, method_ids, statics };
+
+    let mut methods = Vec::with_capacity(tables.sigs.len());
+    let mut alloc_count: u32 = 0;
+    for c in classes {
+        for m in &c.methods {
+            let mid = MethodId(methods.len());
+            methods.push(lower_method(&tables, c, m, mid, vars, &mut alloc_count)?);
+        }
+    }
+    Ok(methods)
+}
+
+struct Lower<'a, 'l> {
+    t: &'l Tables<'a>,
     mid: MethodId,
-    class: &'a ClassDecl,
+    class: &'a ClassAst<'a>,
+    /// `class`'s name, resolved once.
+    class_name: &'a str,
     cfg: Cfg,
     cur: NodeId,
-    vars: &'a mut Vec<Variable>,
-    locals: HashMap<String, VarId>,
+    vars: &'l mut Vec<Variable>,
+    locals: HashMap<&'a str, VarId>,
     temp_count: usize,
-    alloc_count: &'a mut u32,
+    alloc_count: &'l mut u32,
     this_var: Option<VarId>,
     ret_var: Option<VarId>,
 }
 
-impl Lower<'_, '_> {
+impl<'a> Lower<'a, '_> {
     fn new_var(&mut self, name: String, ty: TypeName, kind: VarKind) -> VarId {
         let id = VarId(self.vars.len());
         self.vars.push(Variable { id, name, ty, owner: Some(self.mid), kind });
@@ -186,10 +200,6 @@ impl Lower<'_, '_> {
         self.vars[v.0].ty
     }
 
-    fn var_name(&self, v: VarId) -> String {
-        self.vars[v.0].name.clone()
-    }
-
     fn opaque_temp(&mut self) -> VarId {
         let t = self.temp(TypeName::new("Object"));
         self.emit(Instr::Nullify { dst: t });
@@ -204,7 +214,7 @@ impl Lower<'_, '_> {
 
     /// Lowers `e` to a variable holding its value, or `None` for opaque
     /// values. Side effects are emitted either way.
-    fn lower_expr(&mut self, e: &Expr, span: Span) -> Result<Option<VarId>, SourceError> {
+    fn lower_expr(&mut self, e: &Expr<'a>, span: Span) -> Result<Option<VarId>, SourceError> {
         match e {
             Expr::Opaque => Ok(None),
             Expr::Var(name) => self.lower_var_read(name, span),
@@ -217,7 +227,7 @@ impl Lower<'_, '_> {
     }
 
     /// Lowers `e` and assigns the result to `dst` (nullifying for opaque).
-    fn lower_expr_into(&mut self, e: &Expr, dst: VarId, span: Span) -> Result<(), SourceError> {
+    fn lower_expr_into(&mut self, e: &Expr<'a>, dst: VarId, span: Span) -> Result<(), SourceError> {
         match e {
             Expr::New { ty, args, span } => {
                 self.lower_new(ty, args, *span, Some(dst))?;
@@ -260,22 +270,20 @@ impl Lower<'_, '_> {
             return Ok(Some(v));
         }
         // instance field of the current class
-        if self.class.fields.iter().any(|f| f.name == name) {
+        if self.class.decl.fields.iter().any(|f| f.name == name) {
             let this = self.this_var.ok_or_else(|| {
                 SourceError::new(span.line, format!("field {name:?} used in a static method"))
             })?;
             let fty = self
                 .t
-                .client_field_ty(&self.class.name, name)
+                .client_field_ty(&self.class.decl.name, name)
                 .ok_or_else(|| SourceError::new(span.line, format!("unknown field {name:?}")))?;
             let dst = self.temp(fty);
             self.emit(Instr::Load { dst, base: this, field: name.to_string() });
             return Ok(Some(dst));
         }
         // static of the current class
-        if let Some(&v) =
-            self.t.statics.get(&(self.class.name.as_str().to_string(), name.to_string()))
-        {
+        if let Some(&v) = self.t.statics.get(&(self.class_name, name)) {
             return Ok(Some(v));
         }
         Err(SourceError::new(span.line, format!("unknown identifier {name:?}")))
@@ -283,17 +291,17 @@ impl Lower<'_, '_> {
 
     fn lower_field_get(
         &mut self,
-        base: &Expr,
-        field: &str,
+        base: &Expr<'a>,
+        field: &'a str,
         span: Span,
     ) -> Result<Option<VarId>, SourceError> {
         // `ClassName.staticField`
-        if let Expr::Var(n) = base {
+        if let Expr::Var(n) = *base {
             if !self.is_value_name(n) {
-                if let Some(&v) = self.t.statics.get(&(n.clone(), field.to_string())) {
+                if let Some(&v) = self.t.statics.get(&(n, field)) {
                     return Ok(Some(v));
                 }
-                if self.t.class_idx.contains_key(n.as_str()) {
+                if self.t.class_idx.contains_key(n) {
                     return Err(SourceError::new(
                         span.line,
                         format!("class {n} has no static field {field:?}"),
@@ -327,14 +335,11 @@ impl Lower<'_, '_> {
     fn is_value_name(&self, name: &str) -> bool {
         name == "this"
             || self.locals.contains_key(name)
-            || self.class.fields.iter().any(|f| f.name == name)
-            || self
-                .t
-                .statics
-                .contains_key(&(self.class.name.as_str().to_string(), name.to_string()))
+            || self.class.decl.fields.iter().any(|f| f.name == name)
+            || self.t.statics.contains_key(&(self.class_name, name))
     }
 
-    fn lower_args(&mut self, args: &[Expr], span: Span) -> Result<Vec<VarId>, SourceError> {
+    fn lower_args(&mut self, args: &[Expr<'a>], span: Span) -> Result<Vec<VarId>, SourceError> {
         let mut out = Vec::with_capacity(args.len());
         for a in args {
             match self.lower_expr(a, span)? {
@@ -351,7 +356,7 @@ impl Lower<'_, '_> {
     fn lower_new(
         &mut self,
         ty: &TypeName,
-        args: &[Expr],
+        args: &[Expr<'a>],
         span: Span,
         preferred: Option<VarId>,
     ) -> Result<VarId, SourceError> {
@@ -379,8 +384,7 @@ impl Lower<'_, '_> {
                 Ok(dst)
             }
             TyKind::Client => {
-                let ctor =
-                    self.t.method_ids.get(&(ty.as_str().to_string(), ClassSpec::CTOR.to_string()));
+                let ctor = self.t.method_ids.get(&(ty.as_str(), ClassSpec::CTOR));
                 match ctor {
                     None if !avars.is_empty() => Err(SourceError::new(
                         span.line,
@@ -395,12 +399,12 @@ impl Lower<'_, '_> {
                         self.emit(Instr::New { dst, ty: *ty, site, args: Vec::new(), at });
                         if let Some(&callee) = ctor {
                             let sig = &self.t.sigs[callee.0];
-                            if sig.params.len() != avars.len() {
+                            if sig.arity != avars.len() {
                                 return Err(SourceError::new(
                                     span.line,
                                     format!(
                                         "constructor of {ty} expects {} argument(s), got {}",
-                                        sig.params.len(),
+                                        sig.arity,
                                         avars.len()
                                     ),
                                 ));
@@ -422,19 +426,17 @@ impl Lower<'_, '_> {
 
     fn lower_call(
         &mut self,
-        recv: Option<&Expr>,
+        recv: Option<&Expr<'a>>,
         method: &str,
-        args: &[Expr],
+        args: &[Expr<'a>],
         span: Span,
         preferred: Option<VarId>,
     ) -> Result<Option<VarId>, SourceError> {
         // resolve receiver
-        let resolved: ResolvedRecv = match recv {
+        let resolved: ResolvedRecv<'a> = match recv {
             None => ResolvedRecv::CurrentClass,
-            Some(Expr::Var(n))
-                if !self.is_value_name(n) && self.t.class_idx.contains_key(n.as_str()) =>
-            {
-                ResolvedRecv::StaticClass(n.clone())
+            Some(&Expr::Var(n)) if !self.is_value_name(n) && self.t.class_idx.contains_key(n) => {
+                ResolvedRecv::StaticClass(n)
             }
             Some(e) => {
                 let Some(rv) = self.lower_expr(e, span)? else {
@@ -454,17 +456,15 @@ impl Lower<'_, '_> {
                         self.lower_component_call(rv, method, args, span, preferred)
                     }
                     TyKind::Client => {
-                        let callee = self
-                            .t
-                            .method_ids
-                            .get(&(rty.as_str().to_string(), method.to_string()))
-                            .copied()
-                            .ok_or_else(|| {
-                                SourceError::new(
-                                    span.line,
-                                    format!("class {rty} has no method {method:?}"),
-                                )
-                            })?;
+                        let callee =
+                            self.t.method_ids.get(&(rty.as_str(), method)).copied().ok_or_else(
+                                || {
+                                    SourceError::new(
+                                        span.line,
+                                        format!("class {rty} has no method {method:?}"),
+                                    )
+                                },
+                            )?;
                         if self.t.sigs[callee.0].is_static {
                             return Err(SourceError::new(
                                 span.line,
@@ -482,12 +482,7 @@ impl Lower<'_, '_> {
                 }
             }
             ResolvedRecv::StaticClass(cname) => {
-                let callee = self
-                    .t
-                    .method_ids
-                    .get(&(cname.clone(), method.to_string()))
-                    .copied()
-                    .ok_or_else(|| {
+                let callee = self.t.method_ids.get(&(cname, method)).copied().ok_or_else(|| {
                     SourceError::new(span.line, format!("class {cname} has no method {method:?}"))
                 })?;
                 if !self.t.sigs[callee.0].is_static {
@@ -500,13 +495,8 @@ impl Lower<'_, '_> {
                 self.finish_client_call(callee, cargs, span, preferred, method)
             }
             ResolvedRecv::CurrentClass => {
-                let cname = self.class.name.as_str().to_string();
-                let callee = self
-                    .t
-                    .method_ids
-                    .get(&(cname.clone(), method.to_string()))
-                    .copied()
-                    .ok_or_else(|| {
+                let cname = self.class_name;
+                let callee = self.t.method_ids.get(&(cname, method)).copied().ok_or_else(|| {
                     SourceError::new(span.line, format!("class {cname} has no method {method:?}"))
                 })?;
                 let mut cargs = Vec::new();
@@ -529,7 +519,7 @@ impl Lower<'_, '_> {
         &mut self,
         rv: VarId,
         method: &str,
-        args: &[Expr],
+        args: &[Expr<'a>],
         span: Span,
         preferred: Option<VarId>,
     ) -> Result<Option<VarId>, SourceError> {
@@ -556,7 +546,7 @@ impl Lower<'_, '_> {
         let dst = m.and_then(|m| m.ret_ty()).map(|rt| {
             preferred.filter(|d| self.var_ty(*d) == *rt).unwrap_or_else(|| self.temp(*rt))
         });
-        let what = format!("{}.{method}()", self.var_name(rv));
+        let what = format!("{}.{method}()", self.vars[rv.0].name);
         let at = self.site(span, what);
         self.emit(Instr::CallComponent {
             dst,
@@ -578,7 +568,7 @@ impl Lower<'_, '_> {
         method: &str,
     ) -> Result<Option<VarId>, SourceError> {
         let sig = &self.t.sigs[callee.0];
-        let expected = sig.params.len() + usize::from(!sig.is_static);
+        let expected = sig.arity + usize::from(!sig.is_static);
         if args.len() != expected {
             return Err(SourceError::new(
                 span.line,
@@ -599,25 +589,25 @@ impl Lower<'_, '_> {
         Ok(dst)
     }
 
-    fn lower_stmt(&mut self, s: &Stmt) -> Result<(), SourceError> {
+    fn lower_stmt(&mut self, s: &Stmt<'a>) -> Result<(), SourceError> {
         match s {
-            Stmt::VarDecl { name, ty, init, span } => {
+            &Stmt::VarDecl { name, ty, ref init, span } => {
                 if self.locals.contains_key(name) {
                     return Err(SourceError::new(
                         span.line,
                         format!("duplicate local variable {name:?} (shadowing unsupported)"),
                     ));
                 }
-                let v = self.new_var(name.clone(), *ty, VarKind::Local);
-                self.locals.insert(name.clone(), v);
+                let v = self.new_var(name.to_string(), ty, VarKind::Local);
+                self.locals.insert(name, v);
                 match init {
-                    Some(e) => self.lower_expr_into(e, v, *span)?,
+                    Some(e) => self.lower_expr_into(e, v, span)?,
                     None => self.emit(Instr::Nullify { dst: v }),
                 }
                 Ok(())
             }
             Stmt::Assign { lhs, rhs, span } => self.lower_assign(lhs, rhs, *span),
-            Stmt::ExprStmt { expr, span } => {
+            Stmt::Expr { expr, span } => {
                 self.lower_expr(expr, *span)?;
                 Ok(())
             }
@@ -681,14 +671,19 @@ impl Lower<'_, '_> {
         }
     }
 
-    fn lower_assign(&mut self, lhs: &LValue, rhs: &Expr, span: Span) -> Result<(), SourceError> {
-        match lhs {
+    fn lower_assign(
+        &mut self,
+        lhs: &LValue<'a>,
+        rhs: &Expr<'a>,
+        span: Span,
+    ) -> Result<(), SourceError> {
+        match *lhs {
             LValue::Var(name) => {
                 if let Some(&v) = self.locals.get(name) {
                     return self.lower_expr_into(rhs, v, span);
                 }
                 // instance field of current class: this.name = rhs
-                if self.class.fields.iter().any(|f| f.name == name.as_str()) {
+                if self.class.decl.fields.iter().any(|f| f.name == name) {
                     let this = self.this_var.ok_or_else(|| {
                         SourceError::new(
                             span.line,
@@ -696,21 +691,19 @@ impl Lower<'_, '_> {
                         )
                     })?;
                     let src = self.rhs_to_var(rhs, span)?;
-                    self.emit(Instr::Store { base: this, field: name.clone(), src });
+                    self.emit(Instr::Store { base: this, field: name.to_string(), src });
                     return Ok(());
                 }
-                if let Some(&v) =
-                    self.t.statics.get(&(self.class.name.as_str().to_string(), name.clone()))
-                {
+                if let Some(&v) = self.t.statics.get(&(self.class_name, name)) {
                     return self.lower_expr_into(rhs, v, span);
                 }
                 Err(SourceError::new(span.line, format!("unknown identifier {name:?}")))
             }
-            LValue::Field { base, field } => {
+            LValue::Field { ref base, field } => {
                 // `ClassName.staticField = rhs`
-                if let Expr::Var(n) = &**base {
+                if let Expr::Var(n) = **base {
                     if !self.is_value_name(n) {
-                        if let Some(&v) = self.t.statics.get(&(n.clone(), field.clone())) {
+                        if let Some(&v) = self.t.statics.get(&(n, field)) {
                             return self.lower_expr_into(rhs, v, span);
                         }
                     }
@@ -732,13 +725,13 @@ impl Lower<'_, '_> {
                     ));
                 }
                 let src = self.rhs_to_var(rhs, span)?;
-                self.emit(Instr::Store { base: b, field: field.clone(), src });
+                self.emit(Instr::Store { base: b, field: field.to_string(), src });
                 Ok(())
             }
         }
     }
 
-    fn rhs_to_var(&mut self, rhs: &Expr, span: Span) -> Result<VarId, SourceError> {
+    fn rhs_to_var(&mut self, rhs: &Expr<'a>, span: Span) -> Result<VarId, SourceError> {
         match self.lower_expr(rhs, span)? {
             Some(v) => Ok(v),
             None => Ok(self.opaque_temp()),
@@ -746,16 +739,16 @@ impl Lower<'_, '_> {
     }
 }
 
-enum ResolvedRecv {
+enum ResolvedRecv<'a> {
     CurrentClass,
-    StaticClass(String),
+    StaticClass(&'a str),
     Value(VarId),
 }
 
-fn lower_method(
-    tables: &Tables<'_>,
-    class: &ClassDecl,
-    m: &crate::ast::MethodDecl,
+fn lower_method<'a>(
+    tables: &Tables<'a>,
+    class: &'a ClassAst<'a>,
+    m: &'a MethodDecl<'a>,
     mid: MethodId,
     vars: &mut Vec<Variable>,
     alloc_count: &mut u32,
@@ -764,6 +757,7 @@ fn lower_method(
         t: tables,
         mid,
         class,
+        class_name: class.decl.name.as_str(),
         cfg: Cfg::new(),
         cur: NodeId(0),
         vars,
@@ -777,14 +771,14 @@ fn lower_method(
 
     let mut params = Vec::new();
     if !m.is_static {
-        let v = lw.new_var("this".to_string(), class.name, VarKind::Param(0));
+        let v = lw.new_var("this".to_string(), class.decl.name, VarKind::Param(0));
         lw.this_var = Some(v);
         params.push(v);
     }
-    for (k, (name, ty)) in m.params.iter().enumerate() {
+    for (k, &(name, ty)) in m.params.iter().enumerate() {
         let idx = k + usize::from(!m.is_static);
-        let v = lw.new_var(name.clone(), *ty, VarKind::Param(idx));
-        if lw.locals.insert(name.clone(), v).is_some() {
+        let v = lw.new_var(name.to_string(), ty, VarKind::Param(idx));
+        if lw.locals.insert(name, v).is_some() {
             return Err(SourceError::new(m.span.line, format!("duplicate parameter {name:?}")));
         }
         params.push(v);
@@ -803,8 +797,8 @@ fn lower_method(
 
     Ok(MethodIr {
         id: mid,
-        class: class.name,
-        name: m.name.clone(),
+        class: class.decl.name,
+        name: m.name.to_string(),
         is_static: m.is_static,
         params,
         ret_var: lw.ret_var,

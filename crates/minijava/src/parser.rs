@@ -9,18 +9,18 @@
 use canvas_easl::lexer::{lex, Cursor, Tok};
 use canvas_logic::TypeName;
 
-use crate::ast::{ClassDecl, Expr, FieldDecl, LValue, MethodDecl, Stmt};
+use crate::ast::{ClassAst, ClassDecl, Expr, FieldDecl, LValue, MethodDecl, Stmt};
 use crate::ir::Span;
 use crate::SourceError;
 
 /// The span of the token the cursor currently points at.
-fn pos(cur: &Cursor) -> Span {
+fn pos(cur: &Cursor<'_>) -> Span {
     Span::new(cur.line(), cur.col())
 }
 
 const CTOR: &str = "<init>";
 
-pub(crate) fn parse_program(src: &str) -> Result<Vec<ClassDecl>, SourceError> {
+pub(crate) fn parse_program(src: &str) -> Result<Vec<ClassAst<'_>>, SourceError> {
     let mut cur = Cursor::new(lex(src)?);
     let mut classes = Vec::new();
     while !cur.at_end() {
@@ -32,7 +32,7 @@ pub(crate) fn parse_program(src: &str) -> Result<Vec<ClassDecl>, SourceError> {
     Ok(classes)
 }
 
-fn parse_class(cur: &mut Cursor) -> Result<ClassDecl, SourceError> {
+fn parse_class<'src>(cur: &mut Cursor<'src>) -> Result<ClassAst<'src>, SourceError> {
     let span = pos(cur);
     cur.expect_kw("class")?;
     let name = cur.expect_ident()?;
@@ -59,7 +59,7 @@ fn parse_class(cur: &mut Cursor) -> Result<ClassDecl, SourceError> {
             let params = parse_params(cur)?;
             let (body, end_line) = parse_block(cur)?;
             methods.push(MethodDecl {
-                name: CTOR.to_string(),
+                name: CTOR,
                 is_static: false,
                 params,
                 ret_ty: None,
@@ -91,7 +91,8 @@ fn parse_class(cur: &mut Cursor) -> Result<ClassDecl, SourceError> {
                 ));
             }
             cur.expect(";")?;
-            let decl = FieldDecl { name: second, ty: TypeName::new(first), span: mspan };
+            let decl =
+                FieldDecl { name: second.to_string(), ty: TypeName::new(first), span: mspan };
             if is_static {
                 statics.push(decl);
             } else {
@@ -99,10 +100,10 @@ fn parse_class(cur: &mut Cursor) -> Result<ClassDecl, SourceError> {
             }
         }
     }
-    Ok(ClassDecl { name: TypeName::new(name), fields, statics, methods, span })
+    Ok(ClassAst { decl: ClassDecl { name: TypeName::new(name), fields, statics, span }, methods })
 }
 
-fn parse_params(cur: &mut Cursor) -> Result<Vec<(String, TypeName)>, SourceError> {
+fn parse_params<'src>(cur: &mut Cursor<'src>) -> Result<Vec<(&'src str, TypeName)>, SourceError> {
     cur.expect("(")?;
     let mut out = Vec::new();
     if !cur.eat(")") {
@@ -120,7 +121,7 @@ fn parse_params(cur: &mut Cursor) -> Result<Vec<(String, TypeName)>, SourceError
 }
 
 /// Parses `{ stmts }`; also returns the line of the closing brace.
-fn parse_block(cur: &mut Cursor) -> Result<(Vec<Stmt>, u32), SourceError> {
+fn parse_block<'src>(cur: &mut Cursor<'src>) -> Result<(Vec<Stmt<'src>>, u32), SourceError> {
     cur.expect("{")?;
     let mut out = Vec::new();
     loop {
@@ -132,7 +133,7 @@ fn parse_block(cur: &mut Cursor) -> Result<(Vec<Stmt>, u32), SourceError> {
     }
 }
 
-fn parse_block_or_stmt(cur: &mut Cursor) -> Result<Vec<Stmt>, SourceError> {
+fn parse_block_or_stmt<'src>(cur: &mut Cursor<'src>) -> Result<Vec<Stmt<'src>>, SourceError> {
     if matches!(cur.peek(), Some(Tok::Punct("{"))) {
         Ok(parse_block(cur)?.0)
     } else {
@@ -140,7 +141,7 @@ fn parse_block_or_stmt(cur: &mut Cursor) -> Result<Vec<Stmt>, SourceError> {
     }
 }
 
-fn parse_stmt(cur: &mut Cursor) -> Result<Stmt, SourceError> {
+fn parse_stmt<'src>(cur: &mut Cursor<'src>) -> Result<Stmt<'src>, SourceError> {
     let span = pos(cur);
     if cur.eat_kw("if") {
         cur.expect("(")?;
@@ -184,10 +185,10 @@ fn parse_stmt(cur: &mut Cursor) -> Result<Stmt, SourceError> {
 /// `for (init; cond; update) body` desugars to
 /// `{ init; while (cond) { body; update; } }` using [`Stmt::Block`] for the
 /// init+loop sequence (a block introduces no branching).
-fn parse_for(cur: &mut Cursor, span: Span) -> Result<Stmt, SourceError> {
+fn parse_for<'src>(cur: &mut Cursor<'src>, span: Span) -> Result<Stmt<'src>, SourceError> {
     cur.expect("(")?;
     // init
-    let mut pre: Vec<Stmt> = Vec::new();
+    let mut pre: Vec<Stmt<'src>> = Vec::new();
     if !cur.eat(";") {
         if let (Some(Tok::Ident(_)), Some(Tok::Ident(_))) = (cur.peek(), cur.peek_at(1)) {
             let ty = TypeName::new(cur.expect_ident()?);
@@ -224,10 +225,10 @@ fn parse_for(cur: &mut Cursor, span: Span) -> Result<Stmt, SourceError> {
 }
 
 /// Assignment or expression statement (no trailing `;`).
-fn parse_simple(cur: &mut Cursor, span: Span) -> Result<Stmt, SourceError> {
+fn parse_simple<'src>(cur: &mut Cursor<'src>, span: Span) -> Result<Stmt<'src>, SourceError> {
     let e = parse_expr(cur)?;
     if cur.eat("++") {
-        return Ok(Stmt::ExprStmt { expr: Expr::Opaque, span });
+        return Ok(Stmt::Expr { expr: Expr::Opaque, span });
     }
     if cur.eat("=") {
         let rhs = parse_expr(cur)?;
@@ -243,18 +244,21 @@ fn parse_simple(cur: &mut Cursor, span: Span) -> Result<Stmt, SourceError> {
         };
         return Ok(Stmt::Assign { lhs, rhs, span });
     }
-    Ok(Stmt::ExprStmt { expr: e, span })
+    Ok(Stmt::Expr { expr: e, span })
 }
 
 /// Parses a boolean condition, returning the tracked subexpressions it
 /// evaluates (calls/allocations), in evaluation order.
-fn parse_cond(cur: &mut Cursor) -> Result<Vec<Expr>, SourceError> {
+fn parse_cond<'src>(cur: &mut Cursor<'src>) -> Result<Vec<Expr<'src>>, SourceError> {
     let mut effects = Vec::new();
     parse_or_cond(cur, &mut effects)?;
     Ok(effects)
 }
 
-fn parse_or_cond(cur: &mut Cursor, eff: &mut Vec<Expr>) -> Result<(), SourceError> {
+fn parse_or_cond<'src>(
+    cur: &mut Cursor<'src>,
+    eff: &mut Vec<Expr<'src>>,
+) -> Result<(), SourceError> {
     parse_and_cond(cur, eff)?;
     while cur.eat("||") {
         parse_and_cond(cur, eff)?;
@@ -262,7 +266,10 @@ fn parse_or_cond(cur: &mut Cursor, eff: &mut Vec<Expr>) -> Result<(), SourceErro
     Ok(())
 }
 
-fn parse_and_cond(cur: &mut Cursor, eff: &mut Vec<Expr>) -> Result<(), SourceError> {
+fn parse_and_cond<'src>(
+    cur: &mut Cursor<'src>,
+    eff: &mut Vec<Expr<'src>>,
+) -> Result<(), SourceError> {
     parse_not_cond(cur, eff)?;
     while cur.eat("&&") {
         parse_not_cond(cur, eff)?;
@@ -270,7 +277,10 @@ fn parse_and_cond(cur: &mut Cursor, eff: &mut Vec<Expr>) -> Result<(), SourceErr
     Ok(())
 }
 
-fn parse_not_cond(cur: &mut Cursor, eff: &mut Vec<Expr>) -> Result<(), SourceError> {
+fn parse_not_cond<'src>(
+    cur: &mut Cursor<'src>,
+    eff: &mut Vec<Expr<'src>>,
+) -> Result<(), SourceError> {
     if cur.eat("!") {
         return parse_not_cond(cur, eff);
     }
@@ -294,7 +304,10 @@ fn parse_not_cond(cur: &mut Cursor, eff: &mut Vec<Expr>) -> Result<(), SourceErr
     Ok(())
 }
 
-fn parse_arith(cur: &mut Cursor, eff: &mut Vec<Expr>) -> Result<Expr, SourceError> {
+fn parse_arith<'src>(
+    cur: &mut Cursor<'src>,
+    eff: &mut Vec<Expr<'src>>,
+) -> Result<Expr<'src>, SourceError> {
     let first = parse_expr(cur)?;
     if !matches!(cur.peek(), Some(Tok::Punct("+" | "-"))) {
         return Ok(first);
@@ -308,13 +321,13 @@ fn parse_arith(cur: &mut Cursor, eff: &mut Vec<Expr>) -> Result<Expr, SourceErro
     Ok(Expr::Opaque)
 }
 
-fn push_effect(e: Expr, eff: &mut Vec<Expr>) {
+fn push_effect<'src>(e: Expr<'src>, eff: &mut Vec<Expr<'src>>) {
     if contains_call(&e) {
         eff.push(e);
     }
 }
 
-fn contains_call(e: &Expr) -> bool {
+fn contains_call(e: &Expr<'_>) -> bool {
     match e {
         Expr::Call { .. } | Expr::New { .. } => true,
         Expr::FieldGet { base, .. } => contains_call(base),
@@ -322,16 +335,16 @@ fn contains_call(e: &Expr) -> bool {
     }
 }
 
-fn parse_expr(cur: &mut Cursor) -> Result<Expr, SourceError> {
+fn parse_expr<'src>(cur: &mut Cursor<'src>) -> Result<Expr<'src>, SourceError> {
     let span = pos(cur);
     let mut e = match cur.peek() {
-        Some(Tok::Ident(id)) if id == "new" => {
+        Some(Tok::Ident("new")) => {
             cur.next_tok()?;
             let ty = cur.expect_ident()?;
             let args = parse_args(cur)?;
             Expr::New { ty: TypeName::new(ty), args, span }
         }
-        Some(Tok::Ident(id)) if id == "null" || id == "true" || id == "false" => {
+        Some(Tok::Ident("null" | "true" | "false")) => {
             cur.next_tok()?;
             Expr::Opaque
         }
@@ -375,7 +388,7 @@ fn parse_expr(cur: &mut Cursor) -> Result<Expr, SourceError> {
     Ok(e)
 }
 
-fn parse_args(cur: &mut Cursor) -> Result<Vec<Expr>, SourceError> {
+fn parse_args<'src>(cur: &mut Cursor<'src>) -> Result<Vec<Expr<'src>>, SourceError> {
     cur.expect("(")?;
     let mut out = Vec::new();
     if !cur.eat(")") {
@@ -420,7 +433,7 @@ mod tests {
         let main = &classes[0].methods[0];
         assert_eq!(main.body.len(), 10);
         match &main.body[0] {
-            Stmt::VarDecl { name, init: Some(Expr::New { .. }), .. } => assert_eq!(name, "v"),
+            Stmt::VarDecl { name, init: Some(Expr::New { .. }), .. } => assert_eq!(*name, "v"),
             other => panic!("unexpected {other:?}"),
         }
         // `if (unknown())` keeps the call as a condition effect
@@ -463,8 +476,8 @@ mod tests {
         )
         .unwrap();
         let c = &classes[0];
-        assert_eq!(c.fields.len(), 1);
-        assert_eq!(c.statics.len(), 1);
+        assert_eq!(c.decl.fields.len(), 1);
+        assert_eq!(c.decl.statics.len(), 1);
         assert_eq!(c.methods[0].name, "<init>");
     }
 
@@ -482,8 +495,8 @@ mod tests {
         let classes =
             parse_program("class A { void m(W w) { w.list().iterator().next(); } }").unwrap();
         match &classes[0].methods[0].body[0] {
-            Stmt::ExprStmt { expr: Expr::Call { method, recv: Some(r), .. }, .. } => {
-                assert_eq!(method, "next");
+            Stmt::Expr { expr: Expr::Call { method, recv: Some(r), .. }, .. } => {
+                assert_eq!(*method, "next");
                 assert!(matches!(**r, Expr::Call { .. }));
             }
             other => panic!("unexpected {other:?}"),

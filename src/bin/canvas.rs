@@ -195,6 +195,16 @@ fn derive(o: &Opts) -> Result<ExitCode, CanvasError> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Reads a client file. This is where the `truncate-input` fault point
+/// cuts untrusted input in half: the front end itself reads no fault
+/// state, so the checker's re-parse sees exactly the text it is given.
+fn read_client(path: &str) -> Result<String, CanvasError> {
+    let mut source = std::fs::read_to_string(path)
+        .map_err(|e| CanvasError::io(Stage::ClientFrontend, path, &e))?;
+    source.truncate(canvas_faults::truncate_input(&source).len());
+    Ok(source)
+}
+
 fn certify(o: &Opts) -> Result<ExitCode, CanvasError> {
     canvas_telemetry::set_enabled(o.metrics);
     init_log_json(o.log_json.as_deref())?;
@@ -202,8 +212,7 @@ fn certify(o: &Opts) -> Result<ExitCode, CanvasError> {
     let [client_path] = o.operands.as_slice() else {
         return Err(CanvasError::usage("certify needs a client file argument"));
     };
-    let source = std::fs::read_to_string(client_path)
-        .map_err(|e| CanvasError::io(Stage::ClientFrontend, client_path, &e))?;
+    let source = read_client(client_path)?;
     let spec = load_spec(o.spec())?;
     let certifier = Certifier::from_spec(spec)?.with_explain(o.explain).with_budget(o.budget);
     let program = {
@@ -288,8 +297,7 @@ fn check(o: &Opts) -> Result<ExitCode, CanvasError> {
     };
     let cert_text = std::fs::read_to_string(cert_path)
         .map_err(|e| CanvasError::io(Stage::Cli, cert_path, &e))?;
-    let source = std::fs::read_to_string(client_path)
-        .map_err(|e| CanvasError::io(Stage::ClientFrontend, client_path, &e))?;
+    let source = read_client(client_path)?;
     let spec = load_spec(o.spec())?;
     // Re-deriving the abstraction from the spec is part of the trusted
     // recomputation: the certificate's digests are compared against what
