@@ -322,59 +322,69 @@ impl Certifier {
         engine: Engine,
     ) -> Result<(Report, Certificate), CertifyError> {
         let prepared = PreparedProgram::new(program);
-        self.certify_with_cells(source, program, engine, |method, entry| {
-            let shared = prepared.shared(method, entry);
-            let (report, solution) =
-                self.certify_method_shared(program, method, engine, entry, shared, None)?;
-            Ok((report, solved_cell(method, entry, shared, solution)))
-        })
+        let cells = walk_order(program, engine)?;
+        self.certify_cells(
+            digest_str(source),
+            engine,
+            cells,
+            MethodIr::qualified_name,
+            |m, entry| {
+                let shared = prepared.shared(m, entry);
+                let (report, solution) =
+                    self.certify_method_shared(program, m, engine, entry, shared, None)?;
+                Ok((report, solved_cell(m, entry, shared, solution)))
+            },
+        )
     }
 
-    /// The [`walk_program`] behind every certificate-emitting entry point,
-    /// cached or not, and the one place a [`Certificate`] is assembled.
-    /// `cell` certifies one `(method, entry)` cell and returns its solution
-    /// cell, if any; a cell without one is recorded as `unavailable`, and
-    /// an engine that never emits solutions gets one whole-program
-    /// `unavailable` cell instead.
+    /// The one place a [`Certificate`] is assembled, for every
+    /// certificate-emitting entry point, cached or not: folds `cells`, in
+    /// walk order ([`walk_order`]), into the whole-program report and a
+    /// certificate bound to the source text whose [`digest_str`] is
+    /// `source`. `cell` certifies one cell and returns its solution cell,
+    /// if any; a cell without one is recorded as `unavailable` under
+    /// `name(cell)`, and an engine that never emits solutions gets one
+    /// whole-program `unavailable` cell instead. A cell is whatever
+    /// identifies it to the caller: a method of a parsed program, or an
+    /// entry of a remembered cell list.
     ///
     /// # Errors
     ///
-    /// As [`walk_program`].
-    pub fn certify_with_cells<F>(
+    /// [`CertifyError::NoMain`] when `cells` is empty, or the first error
+    /// `cell` returns.
+    pub fn certify_cells<C: Copy>(
         &self,
-        source: &str,
-        program: &Program,
+        source: u64,
         engine: Engine,
-        mut cell: F,
-    ) -> Result<(Report, Certificate), CertifyError>
-    where
-        F: FnMut(&MethodIr, EntryAssumption) -> Result<(Report, Option<CertCell>), CertifyError>,
-    {
+        cells: impl IntoIterator<Item = (C, EntryAssumption)>,
+        name: impl Fn(C) -> String,
+        mut cell: impl FnMut(C, EntryAssumption) -> Result<(Report, Option<CertCell>), CertifyError>,
+    ) -> Result<(Report, Certificate), CertifyError> {
         let unsupported = engine.certificate_unsupported();
-        let mut cells = Vec::new();
-        let report = walk_program(program, engine, |method, entry| {
-            let (report, solved) = cell(method, entry)?;
+        let mut solved_cells = Vec::new();
+        let report = fold_cells(cells, |(c, entry)| {
+            let (report, solved) = cell(c, entry)?;
             if unsupported.is_none() {
-                cells.push(solved.unwrap_or_else(|| {
+                solved_cells.push(solved.unwrap_or_else(|| {
                     let reason = format!(
                         "inconclusive run ({}): no post-fixpoint reached",
                         report.verdict.reason().unwrap_or("budget exhausted")
                     );
-                    unavailable_cell(method.qualified_name(), entry, reason)
+                    unavailable_cell(name(c), entry, reason)
                 }));
             }
             Ok(report)
         })?;
         if let Some(reason) = unsupported {
             let whole = "<whole-program>".to_string();
-            cells.push(unavailable_cell(whole, EntryAssumption::Clean, reason.to_string()));
+            solved_cells.push(unavailable_cell(whole, EntryAssumption::Clean, reason.to_string()));
         }
         let certificate = Certificate {
             engine: engine.to_string(),
             spec: self.spec.name().to_string(),
             derived: derived_digest(&self.derived),
-            source: digest_str(source),
-            cells,
+            source,
+            cells: solved_cells,
             violations: report
                 .violations
                 .iter()
@@ -390,12 +400,31 @@ impl Certifier {
     }
 }
 
-/// The whole-program walk behind every `certify_program*` entry point,
-/// cached or not, plain or certificate-emitting. The interprocedural engine
-/// analyses the call graph from `main`, so it is one `(main, clean)` cell;
-/// every other engine analyses `main` with clean entry, then every other
-/// method out of context, and the reports are merged. `cell` certifies one
-/// `(method, entry)` cell.
+/// The `(method, entry)` cells of a whole-program certification, in the
+/// order every `certify_program*` entry point visits them. The
+/// interprocedural engine analyses the call graph from `main`, so it is one
+/// `(main, clean)` cell; every other engine analyses `main` with clean
+/// entry, then every other method out of context.
+///
+/// # Errors
+///
+/// [`CertifyError::NoMain`] without an entry point.
+pub fn walk_order(
+    program: &Program,
+    engine: Engine,
+) -> Result<impl Iterator<Item = (&MethodIr, EntryAssumption)>, CertifyError> {
+    let main = program.main_method().ok_or(CertifyError::NoMain)?;
+    let others = program
+        .methods()
+        .iter()
+        .filter(move |m| engine != Engine::ScmpInterproc && m.id != main.id)
+        .map(|m| (m, EntryAssumption::Unknown));
+    Ok(std::iter::once((main, EntryAssumption::Clean)).chain(others))
+}
+
+/// The whole-program walk behind every plain `certify_program*` entry
+/// point, cached or not: `cell` certifies each `(method, entry)` cell of
+/// [`walk_order`], and the reports are merged.
 ///
 /// # Errors
 ///
@@ -409,17 +438,22 @@ pub fn walk_program<F>(
 where
     F: FnMut(&MethodIr, EntryAssumption) -> Result<Report, CertifyError>,
 {
-    let main = program.main_method().ok_or(CertifyError::NoMain)?;
-    if engine == Engine::ScmpInterproc {
-        return cell(main, EntryAssumption::Clean);
-    }
-    let mut report = cell(main, EntryAssumption::Clean)?;
-    for m in program.methods() {
-        if m.id != main.id {
-            // any inconclusive method makes the whole program inconclusive
-            // (first reason wins; the others are duplicates in practice)
-            report.merge(cell(m, EntryAssumption::Unknown)?);
-        }
+    fold_cells(walk_order(program, engine)?, |(m, entry)| cell(m, entry))
+}
+
+/// Merges the reports of `cells`, in walk order, into one whole-program
+/// report: the first absorbs the rest ([`Report::merge`]; any inconclusive
+/// cell makes the whole program inconclusive, first reason wins), then the
+/// violations are normalized once.
+fn fold_cells<C>(
+    cells: impl IntoIterator<Item = C>,
+    mut cell: impl FnMut(C) -> Result<Report, CertifyError>,
+) -> Result<Report, CertifyError> {
+    let mut cells = cells.into_iter();
+    let first = cells.next().ok_or(CertifyError::NoMain)?;
+    let mut report = cell(first)?;
+    for c in cells {
+        report.merge(cell(c)?);
     }
     report.normalize();
     Ok(report)

@@ -101,6 +101,17 @@ impl Hasher64 {
         self.0.write_str(s);
     }
 
+    /// Absorbs a method's qualified name, `class.name`, exactly as
+    /// [`Hasher64::write_str`] absorbs [`MethodIr::qualified_name`], without
+    /// building it.
+    pub fn write_qualified(&mut self, method: &MethodIr) {
+        let class = method.class.as_str();
+        self.0.write_u64((class.len() + 1 + method.name.len()) as u64);
+        self.0.write(class.as_bytes());
+        self.0.write(b".");
+        self.0.write(method.name.as_bytes());
+    }
+
     /// Absorbs a previously computed fingerprint.
     pub fn write_fp(&mut self, fp: Fingerprint) {
         self.0.write_u64(fp.0);
@@ -129,7 +140,7 @@ pub fn fingerprint_spec(spec: &Spec) -> Fingerprint {
 pub fn fingerprint_config(certifier: &Certifier, engine: Engine) -> Fingerprint {
     let mut h = Hasher64::new();
     h.write_u32(KEY_VERSION);
-    h.write_str(&engine.to_string());
+    h.write_str(engine.name());
     let (relational, tvla) = certifier.budgets();
     h.write_usize(relational);
     h.write_usize(tvla);
@@ -168,7 +179,7 @@ impl<'a> Canon<'a> {
         let v = self.program.var(id);
         h.write_usize(ordinal);
         h.write_str(&v.name);
-        h.write_str(&v.ty.to_string());
+        h.write_str(v.ty.as_str());
         h.write_bool(v.owner.is_none()); // statics are shared environment
     }
 
@@ -206,7 +217,7 @@ fn write_at(h: &mut Hasher64, at: &canvas_minijava::Site) {
 pub fn fingerprint_method(program: &Program, method: &MethodIr) -> Fingerprint {
     let mut h = Hasher64::new();
     let mut canon = Canon::new(program);
-    h.write_str(&method.qualified_name());
+    h.write_qualified(method);
     h.write_bool(method.is_static);
     h.write_u32(method.span.line);
     h.write_u32(method.span.col);
@@ -230,7 +241,7 @@ pub fn fingerprint_method(program: &Program, method: &MethodIr) -> Fingerprint {
             Instr::New { dst, ty, site, args, at } => {
                 h.write_u8(1);
                 canon.var(&mut h, *dst);
-                h.write_str(&ty.to_string());
+                h.write_str(ty.as_str());
                 canon.site(&mut h, *site);
                 h.write_usize(args.len());
                 for &a in args {
@@ -266,7 +277,7 @@ pub fn fingerprint_method(program: &Program, method: &MethodIr) -> Fingerprint {
                 h.write_u8(5);
                 canon.opt_var(&mut h, *dst);
                 // the callee by name, not id: ids shift with edits elsewhere
-                h.write_str(&program.method(*callee).qualified_name());
+                h.write_qualified(program.method(*callee));
                 h.write_usize(args.len());
                 for &a in args {
                     canon.var(&mut h, a);
@@ -288,18 +299,18 @@ pub fn fingerprint_method(program: &Program, method: &MethodIr) -> Fingerprint {
 /// signature; the body is not consulted).
 pub fn fingerprint_signature(program: &Program, method: &MethodIr) -> Fingerprint {
     let mut h = Hasher64::new();
-    h.write_str(&method.qualified_name());
+    h.write_qualified(method);
     h.write_bool(method.is_static);
     h.write_usize(method.params.len());
     for &p in &method.params {
         let v = program.var(p);
         h.write_str(&v.name);
-        h.write_str(&v.ty.to_string());
+        h.write_str(v.ty.as_str());
     }
     match method.ret_var {
         Some(r) => {
             h.write_bool(true);
-            h.write_str(&program.var(r).ty.to_string());
+            h.write_str(program.var(r).ty.as_str());
         }
         None => h.write_bool(false),
     }
@@ -314,23 +325,23 @@ pub fn fingerprint_environment(program: &Program) -> Fingerprint {
     let mut h = Hasher64::new();
     h.write_bool(program.is_scmp_shaped());
     for ty in program.component_types() {
-        h.write_str(&ty.to_string());
+        h.write_str(ty.as_str());
     }
     for v in program.static_vars() {
         h.write_str(&v.name);
-        h.write_str(&v.ty.to_string());
+        h.write_str(v.ty.as_str());
     }
     for c in program.classes() {
-        h.write_str(&c.name.to_string());
+        h.write_str(c.name.as_str());
         h.write_usize(c.fields.len());
         for f in &c.fields {
             h.write_str(&f.name);
-            h.write_str(&f.ty.to_string());
+            h.write_str(f.ty.as_str());
         }
         h.write_usize(c.statics.len());
         for f in &c.statics {
             h.write_str(&f.name);
-            h.write_str(&f.ty.to_string());
+            h.write_str(f.ty.as_str());
         }
     }
     h.finish()
@@ -605,6 +616,54 @@ class Main {
         assert_eq!(h.finish(), Fingerprint(d.finish()));
         // FNV-1a of the empty input is the offset basis
         assert_eq!(Hasher64::new().finish(), Fingerprint(0xcbf2_9ce4_8422_2325));
+    }
+
+    /// The keys a store file is written under: a change to any writer
+    /// that moves one of these makes every stored certificate a miss, and
+    /// needs a [`KEY_VERSION`] bump.
+    #[test]
+    fn keys_are_pinned() {
+        let program = parse(FIG3);
+        let fps = ProgramFingerprints::new(&program);
+        let main = program.main_method().expect("main").id;
+        let c = Certifier::from_spec(canvas_easl::builtin::cmp()).expect("cmp derives");
+        let key = cell_key(
+            fps.method(main),
+            fps.deps(main),
+            fingerprint_spec(c.spec()),
+            Fingerprint(canvas_abstraction::derived_digest(c.derived())),
+            fingerprint_config(&c, Engine::ScmpFds),
+            false,
+        );
+        let got = [fps.method(main), fps.deps(main), fps.program(), key].map(|f| f.to_string());
+        assert_eq!(
+            got,
+            ["e66042a0c5852a7e", "fc13d3f81519ecf9", "d6028030500388eb", "1223ead877e63c24"]
+        );
+        // fields, statics, parameters, returns and client calls
+        let program = parse(
+            r#"
+class Box {
+    Set held;
+    static Set shared;
+    Box(Set s) { held = s; }
+    Set get() { return held; }
+}
+class Main {
+    static Iterator open(Set s) { return s.iterator(); }
+    static void main() {
+        Set v = new Set();
+        Box b = new Box(v);
+        Iterator i = Main.open(b.get());
+        i.next();
+    }
+}
+"#,
+        );
+        let fps = ProgramFingerprints::new(&program);
+        let main = program.main_method().expect("main").id;
+        let got = [fps.method(main), fps.deps(main), fps.program()].map(|f| f.to_string());
+        assert_eq!(got, ["6570ca9015e61a87", "486dc94dcb5127b3", "4a485a2b58e5bf03"]);
     }
 
     #[test]

@@ -9,15 +9,20 @@
 //! observe ([`fingerprint`]), and its completed verdict is a certificate
 //! stored in a [`store::CertCache`]. Editing one method re-runs only the
 //! cells that could observe the edit; everything else is answered from the
-//! cache, byte-identically (modulo wall-clock duration).
+//! cache, byte-identically (modulo wall-clock duration). An exact
+//! resubmission of a program's text skips even the fingerprinting: the
+//! store remembers which cells that text resolved to.
 //!
 //! [`service`] turns this into a long-lived `canvas serve` daemon speaking
 //! newline-delimited JSON on stdin/stdout, with a warm shared cache across
 //! concurrent requests.
 
-use canvas_abstraction::{derived_digest, CellSolution, CertCell, Certificate, EntryAssumption};
+use canvas_abstraction::{
+    derived_digest, digest_str, CellSolution, CertCell, Certificate, EntryAssumption,
+};
 use canvas_core::{
-    solved_cell, walk_program, Certifier, CertifyError, Engine, PreparedProgram, Report, Witness,
+    solved_cell, walk_order, walk_program, Certifier, CertifyError, Engine, PreparedProgram,
+    Report, Witness,
 };
 use canvas_minijava::{MethodIr, Program};
 
@@ -32,7 +37,7 @@ pub mod store;
 use fingerprint::{
     cell_key, fingerprint_config, fingerprint_spec, Fingerprint, Hasher64, ProgramFingerprints,
 };
-use store::{CachedReport, CertCache};
+use store::{CachedReport, CertCache, MemoCell};
 
 /// Per-run cache traffic of one certification call (deterministic per
 /// request even when other requests share the store concurrently).
@@ -83,12 +88,14 @@ impl IncrementalCertifier {
 
     /// A sibling certifier with a per-request budget, sharing this store.
     /// The budget is part of the cache key, so differently-budgeted
-    /// requests never alias.
+    /// requests never alias. The spec is the same, so its fingerprint is
+    /// reused.
     pub fn with_budget(&self, budget: canvas_faults::Budget) -> IncrementalCertifier {
-        IncrementalCertifier::shared(
-            self.certifier.clone().with_budget(budget),
-            std::sync::Arc::clone(&self.cache),
-        )
+        IncrementalCertifier {
+            certifier: self.certifier.clone().with_budget(budget),
+            cache: std::sync::Arc::clone(&self.cache),
+            spec_fp: self.spec_fp,
+        }
     }
 
     /// Persists the store (see [`CertCache::persist`]).
@@ -114,7 +121,7 @@ impl IncrementalCertifier {
         engine: Engine,
     ) -> Result<(Report, RunCacheStats), CertifyError> {
         let mut run = RunCacheStats::default();
-        let mut cell = self.cell_fn(program, engine, &mut run);
+        let mut cell = self.cell_fn(program, engine, &mut run, None);
         let report =
             walk_program(program, engine, move |method, entry| Ok(cell(method, entry)?.0))?;
         Ok((report, run))
@@ -126,6 +133,11 @@ impl IncrementalCertifier {
     /// The certificate is bound to `source` by digest, so `source` must be
     /// the exact text `program` was parsed from.
     ///
+    /// A resubmission of a text whose earlier run left every cell stored
+    /// is answered from the store's program memo: the cells are looked up
+    /// by their remembered keys, with the same accounting, and `program` is
+    /// not fingerprinted again.
+    ///
     /// # Errors
     ///
     /// As [`Certifier::certify`].
@@ -135,32 +147,81 @@ impl IncrementalCertifier {
         program: &Program,
         engine: Engine,
     ) -> Result<(Report, Certificate, RunCacheStats), CertifyError> {
+        let source_digest = digest_str(source);
+        let memo_key = self.memo_key(source_digest, source.len(), engine);
         let mut run = RunCacheStats::default();
-        let cell = self.cell_fn(program, engine, &mut run);
-        let (report, certificate) =
-            self.certifier.certify_with_cells(source, program, engine, cell)?;
+        let usable = |hit: &CachedReport| backs_certificate(hit, engine);
+        if let Some((cells, hits)) = self.cache.replay(memo_key, engine.name(), usable) {
+            run.hits = hits.len() as u64;
+            let (report, certificate) = self.certifier.certify_cells(
+                source_digest,
+                engine,
+                cells.iter().zip(&hits).map(|(c, hit)| ((c, hit), c.entry)),
+                |(c, _)| c.method.clone(),
+                |(c, hit), entry| Ok(answer(hit, engine, c.method.clone(), entry)),
+            )?;
+            return Ok((report, certificate, run));
+        }
+        let mut memo = Some(Vec::new());
+        let (report, certificate) = self.certifier.certify_cells(
+            source_digest,
+            engine,
+            walk_order(program, engine)?,
+            MethodIr::qualified_name,
+            self.cell_fn(program, engine, &mut run, Some(&mut memo)),
+        )?;
+        if let Some(cells) = memo {
+            self.cache.remember(memo_key, cells);
+        }
         Ok((report, certificate, run))
+    }
+
+    /// The program-memo key of `source` (by digest and length) certified
+    /// by `engine` under this certifier's spec, abstraction and budget: the
+    /// same inputs a cell key covers, with the source text in place of the
+    /// program's fingerprints.
+    fn memo_key(&self, source_digest: u64, source_len: usize, engine: Engine) -> Fingerprint {
+        let mut h = Hasher64::new();
+        h.write_u64(source_digest);
+        h.write_usize(source_len);
+        h.write_fp(self.spec_fp);
+        h.write_u64(derived_digest(self.certifier.derived()));
+        h.write_fp(fingerprint_config(&self.certifier, engine));
+        h.finish()
     }
 
     /// The one cell function of both walks: certifies one `(method, entry)`
     /// cell of `program`, answered from the store when its key matches.
     /// The interprocedural engine observes the whole program, so its one
     /// cell is keyed on the whole-program fingerprint. A hit that cannot
-    /// back a certificate (an engine that emits solutions, an entry without
-    /// one) re-runs: the store never serves a certificate it cannot back
-    /// with a solution.
+    /// back a certificate re-runs ([`backs_certificate`]).
+    ///
+    /// With `memo`, every cell that is answered or stored is appended to it
+    /// in walk order; a cell that is neither (an inconclusive run) sets it
+    /// to `None`, so only a run the store can replay whole is memoised.
     fn cell_fn<'a>(
         &'a self,
         program: &'a Program,
         engine: Engine,
         run: &'a mut RunCacheStats,
+        mut memo: Option<&'a mut Option<Vec<MemoCell>>>,
     ) -> impl FnMut(&MethodIr, EntryAssumption) -> Result<(Report, Option<CertCell>), CertifyError> + 'a
     {
         let fps = ProgramFingerprints::new(program);
         let derived_fp = Fingerprint(derived_digest(self.certifier.derived()));
         let config_fp = fingerprint_config(&self.certifier, engine);
         let prepared = PreparedProgram::new(program);
-        let engine_name = engine.to_string();
+        let engine_name = engine.name();
+        let mut remember = move |key: Fingerprint, method: &str, entry, kept: bool| {
+            if let Some(slot) = memo.as_deref_mut() {
+                match slot {
+                    Some(cells) if kept => {
+                        cells.push(MemoCell { key: key.0, method: method.to_string(), entry });
+                    }
+                    _ => *slot = None,
+                }
+            }
+        };
         move |method: &MethodIr, entry: EntryAssumption| {
             let entry_unknown = entry == EntryAssumption::Unknown;
             let (body, deps, name) = if engine == Engine::ScmpInterproc {
@@ -169,21 +230,11 @@ impl IncrementalCertifier {
                 (fps.method(method.id), fps.deps(method.id), method.qualified_name())
             };
             let key = cell_key(body, deps, self.spec_fp, derived_fp, config_fp, entry_unknown);
-            let (hit, stale) = self.cache.lookup_stale(key, &name, entry_unknown, &engine_name);
-            let backs_certificate = |hit: &CachedReport| {
-                hit.cell.is_some() || engine.certificate_unsupported().is_some()
-            };
-            if let Some(hit) = hit.filter(backs_certificate) {
+            let (hit, stale) = self.cache.lookup_stale(key, &name, entry_unknown, engine_name);
+            if let Some(hit) = hit.filter(|hit| backs_certificate(hit, engine)) {
                 run.hits += 1;
-                let report = hit.to_report(engine);
-                let cell = hit.cell.map(|c| CertCell {
-                    method: name,
-                    entry,
-                    preds: c.preds,
-                    bp_digest: c.bp_digest,
-                    solution: c.solution,
-                });
-                return Ok((report, cell));
+                remember(key, &name, entry, true);
+                return Ok(answer(&hit, engine, name, entry));
             }
             run.misses += 1;
             // Within-method delta re-solve: an edit invalidated this cell,
@@ -193,13 +244,13 @@ impl IncrementalCertifier {
             // re-solved, the rest is carried (validated) — instead of
             // restarting from ⊥.
             let seed = match (engine, stale) {
-                (Engine::ScmpFds, Some(stale)) => stale.delta.and_then(|payload| {
-                    let cell = stale.cell?;
-                    match cell.solution {
+                (Engine::ScmpFds, Some(stale)) => stale.delta.as_ref().and_then(|payload| {
+                    let cell = stale.cell.as_ref()?;
+                    match &cell.solution {
                         CellSolution::MayOne { nodes } => Some(canvas_dataflow::DeltaSeed {
-                            payload,
+                            payload: payload.clone(),
                             preds: cell.preds,
-                            solution: nodes,
+                            solution: nodes.clone(),
                         }),
                         _ => None,
                     }
@@ -220,7 +271,9 @@ impl IncrementalCertifier {
             )?;
             let cell = solved_cell(method, entry, shared, solution);
             // inconclusive verdicts are budget/wall-clock-dependent: never cached
-            if let Some(mut cached) = CachedReport::from_report(&report, cell.as_ref()) {
+            let cached = CachedReport::from_report(&report, cell.as_ref());
+            remember(key, &name, entry, cached.is_some());
+            if let Some(mut cached) = cached {
                 // capture the program shape next to the solution, so the
                 // *next* edit of this method can delta-seed from this run
                 if engine == Engine::ScmpFds {
@@ -231,6 +284,32 @@ impl IncrementalCertifier {
             Ok((report, cell))
         }
     }
+}
+
+/// Whether a stored cell can answer for `engine`: a hit that cannot back
+/// a certificate (an engine that emits solutions, an entry without one)
+/// re-runs, so the store never serves a certificate it cannot back with a
+/// solution.
+fn backs_certificate(hit: &CachedReport, engine: Engine) -> bool {
+    hit.cell.is_some() || engine.certificate_unsupported().is_some()
+}
+
+/// The report and certificate cell a stored cell answers with, for the
+/// cell of `method` under `entry`.
+fn answer(
+    hit: &CachedReport,
+    engine: Engine,
+    method: String,
+    entry: EntryAssumption,
+) -> (Report, Option<CertCell>) {
+    let cell = hit.cell.as_ref().map(|c| CertCell {
+        method,
+        entry,
+        preds: c.preds,
+        bp_digest: c.bp_digest,
+        solution: c.solution.clone(),
+    });
+    (hit.to_report(engine), cell)
 }
 
 /// A duration-independent digest of a report: everything the verdict,
@@ -466,6 +545,44 @@ class Main {
         assert!(!cert.checkable());
         assert_eq!(cert.cells.len(), 1);
         assert_eq!(cert.cells[0].method, "<whole-program>");
+    }
+
+    #[test]
+    fn certificate_runs_fill_the_program_memo() {
+        let inc = incr();
+        let program = parse(&inc, HELPERS);
+        let engine = Engine::ScmpFds;
+        let key = inc.memo_key(digest_str(HELPERS), HELPERS.len(), engine);
+        assert!(inc.cache().replay(key, engine.name(), |_| true).is_none(), "nothing memoised");
+        inc.certify_program_cached(&program, engine).expect("plain runs do not fill it");
+        assert!(inc.cache().replay(key, engine.name(), |_| true).is_none());
+        inc.certify_program_certified(HELPERS, &program, engine).expect("cold");
+        let before = inc.cache().stats();
+        let (cells, hits) = inc.cache().replay(key, engine.name(), |_| true).expect("memoised");
+        let names: Vec<&str> = cells.iter().map(|c| c.method.as_str()).collect();
+        assert_eq!(names, ["Main.main", "Main.poke", "Main.scan"], "walk order");
+        assert_eq!(hits.len(), 3);
+        assert_eq!(inc.cache().stats().hits, before.hits + 3, "a replay counts its hits");
+        // another budget is another key
+        let budgeted = inc.with_budget(canvas_faults::Budget::unlimited().with_max_steps(1 << 20));
+        let other = budgeted.memo_key(digest_str(HELPERS), HELPERS.len(), engine);
+        assert_ne!(key, other);
+    }
+
+    #[test]
+    fn a_replay_missing_a_cell_counts_nothing() {
+        let inc = incr();
+        let program = parse(&inc, HELPERS);
+        let engine = Engine::ScmpFds;
+        inc.certify_program_certified(HELPERS, &program, engine).expect("cold");
+        let key = inc.memo_key(digest_str(HELPERS), HELPERS.len(), engine);
+        let before = inc.cache().stats();
+        assert!(inc.cache().replay(key, engine.name(), |_| false).is_none());
+        assert_eq!(inc.cache().stats(), before, "a failed replay counts nothing");
+        let (_, _, run) =
+            inc.certify_program_certified(HELPERS, &program, engine).expect("replayed");
+        assert_eq!((run.hits, run.misses), (3, 0));
+        assert_eq!(inc.cache().stats().hits, before.hits + 3, "counted once");
     }
 
     #[test]

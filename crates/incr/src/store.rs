@@ -29,12 +29,21 @@
 //! an answer. On a disk-backed store the evicted line spills to a cold map
 //! that [`CertCache::persist`] still writes (the disk tier keeps everything);
 //! an in-memory store simply forgets it, and the next lookup is a cold miss.
+//!
+//! Next to the cells sits a *program memo*: for every program whose
+//! certificate run completed with all its cells stored, the cell keys that
+//! run used, in walk order, under a key derived from the exact source text.
+//! A resubmission of the same text is answered
+//! from the memoised keys without fingerprinting the program again. The
+//! memo is a hint: it is never persisted, it lives in its own LRU under the
+//! same byte budget as the hot tier, and a replay counts nothing unless
+//! every memoised cell is still resident.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use canvas_abstraction::{CellSolution, CertCell};
+use canvas_abstraction::{CellSolution, CertCell, EntryAssumption};
 use canvas_core::{
     CanvasError, Engine, ErrorKind, Report, Stage, Stats, Verdict, Violation, Witness, WitnessStep,
 };
@@ -461,11 +470,32 @@ pub struct CacheStats {
 
 /// One hot-tier entry: the decoded certificate plus the exact store line
 /// it serializes to. Keeping the line makes the byte accounting exact,
-/// persist allocation-free per entry, and the spill handoff a pointer copy.
+/// persist allocation-free per entry, and the spill handoff a pointer copy;
+/// sharing the certificate makes a hit a reference-count bump.
 #[derive(Clone)]
 struct HotEntry {
-    report: CachedReport,
-    line: std::sync::Arc<str>,
+    report: Arc<CachedReport>,
+    line: Arc<str>,
+}
+
+/// One cell of a memoised program run: its store key, the qualified name
+/// of its method (`<whole-program>` for the interprocedural engine) and its
+/// entry assumption.
+#[derive(Debug)]
+pub(crate) struct MemoCell {
+    pub(crate) key: u64,
+    pub(crate) method: String,
+    pub(crate) entry: EntryAssumption,
+}
+
+/// A program answered from the memo: its memoised cells, in walk order,
+/// and the certificate each one resolved to.
+pub(crate) type Replay = (Arc<[MemoCell]>, Vec<Arc<CachedReport>>);
+
+/// The byte cost a memoised cell list is charged in the memo's LRU: the
+/// cells themselves plus their method names.
+fn memo_cost(cells: &[MemoCell]) -> usize {
+    cells.iter().map(|c| std::mem::size_of::<MemoCell>() + c.method.len()).sum()
 }
 
 /// The canvas-cert-cache/2 cost of one entry: `<16-hex-key> <line>\n`.
@@ -483,16 +513,42 @@ fn decode_line(line: &str) -> Result<CachedReport, String> {
 const HOT_SHARDS: usize = 8;
 
 struct Inner {
-    /// Last key seen per `(method, entry_unknown, engine)` cell, for
-    /// invalidation accounting.
-    last_keys: HashMap<(String, bool, String), u64>,
+    /// Last key seen per `engine`, `method` and `entry_unknown` cell, for
+    /// invalidation accounting. Nested by name, so a lookup of a cell seen
+    /// before borrows its names instead of allocating a key.
+    last_keys: HashMap<String, HashMap<String, [Option<u64>; 2]>>,
     /// Serialized lines of entries evicted from the hot tier. Only
     /// disk-backed stores spill (the disk tier keeps everything); an
     /// in-memory store forgets evictees. Disjoint from the hot tier by
     /// construction.
-    spill: HashMap<u64, std::sync::Arc<str>>,
+    spill: HashMap<u64, Arc<str>>,
     stats: CacheStats,
     dirty: bool,
+}
+
+impl Inner {
+    /// Records `key` as the cell's latest key, returning the previous one.
+    fn swap_last_key(
+        &mut self,
+        method: &str,
+        entry_unknown: bool,
+        engine: &str,
+        key: u64,
+    ) -> Option<u64> {
+        let slot = usize::from(entry_unknown);
+        if let Some(keys) = self.last_keys.get_mut(engine).and_then(|m| m.get_mut(method)) {
+            return keys[slot].replace(key);
+        }
+        let mut keys = [None; 2];
+        keys[slot] = Some(key);
+        self.last_keys.entry(engine.to_string()).or_default().insert(method.to_string(), keys);
+        None
+    }
+
+    fn count_hit(&mut self) {
+        self.stats.hits += 1;
+        CACHE_HITS.incr();
+    }
 }
 
 /// A thread-safe certificate store. Construction never fails: a missing,
@@ -501,6 +557,8 @@ struct Inner {
 /// Lock order is `inner` before any hot-tier shard, everywhere.
 pub struct CertCache {
     hot: crate::lru::ShardedLru<HotEntry>,
+    /// Program memo: memoised cell lists by program key, never persisted.
+    memo: crate::lru::ShardedLru<Arc<[MemoCell]>>,
     inner: Mutex<Inner>,
     path: Option<PathBuf>,
 }
@@ -518,6 +576,7 @@ impl CertCache {
     pub fn in_memory_budgeted(cache_bytes: Option<u64>) -> CertCache {
         CertCache {
             hot: crate::lru::ShardedLru::new(cache_bytes, HOT_SHARDS),
+            memo: crate::lru::ShardedLru::new(cache_bytes, HOT_SHARDS),
             inner: Mutex::new(Inner {
                 last_keys: HashMap::new(),
                 spill: HashMap::new(),
@@ -600,14 +659,15 @@ impl CertCache {
         keys.sort_unstable();
         for key in keys {
             let Some(report) = entries.remove(&key) else { continue };
-            let line: std::sync::Arc<str> = std::sync::Arc::from(report.to_json().render_compact());
+            let line: Arc<str> = Arc::from(report.to_json().render_compact());
             let cost = line_cost(&line);
-            for (k, e) in hot.insert(key, HotEntry { report, line }, cost) {
+            for (k, e) in hot.insert(key, HotEntry { report: Arc::new(report), line }, cost) {
                 spill.insert(k, e.line);
             }
         }
         CertCache {
             hot,
+            memo: crate::lru::ShardedLru::new(cache_bytes, HOT_SHARDS),
             inner: Mutex::new(Inner { last_keys: HashMap::new(), spill, stats, dirty: false }),
             path: Some(path),
         }
@@ -655,7 +715,7 @@ impl CertCache {
         method: &str,
         entry_unknown: bool,
         engine: &str,
-    ) -> Option<CachedReport> {
+    ) -> Option<Arc<CachedReport>> {
         self.lookup_stale(key, method, entry_unknown, engine).0
     }
 
@@ -672,10 +732,9 @@ impl CertCache {
         method: &str,
         entry_unknown: bool,
         engine: &str,
-    ) -> (Option<CachedReport>, Option<CachedReport>) {
+    ) -> (Option<Arc<CachedReport>>, Option<Arc<CachedReport>>) {
         let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let cell = (method.to_string(), entry_unknown, engine.to_string());
-        let previous = inner.last_keys.insert(cell, key.0);
+        let previous = inner.swap_last_key(method, entry_unknown, engine, key.0);
         let mut found = self.hot.get(key.0).map(|e| e.report);
         let mut from_spill = false;
         if found.is_none() {
@@ -687,7 +746,8 @@ impl CertCache {
                     // promote back into the hot tier; whatever that
                     // displaces takes its place in the spill
                     from_spill = true;
-                    let entry = HotEntry { report: report.clone(), line: line.clone() };
+                    let report = Arc::new(report);
+                    let entry = HotEntry { report: Arc::clone(&report), line: line.clone() };
                     self.admit(&mut inner, key.0, entry, line_cost(&line));
                     found = Some(report);
                 }
@@ -696,8 +756,7 @@ impl CertCache {
         let mut stale = None;
         match &found {
             Some(_) => {
-                inner.stats.hits += 1;
-                CACHE_HITS.incr();
+                inner.count_hit();
                 if from_spill {
                     inner.stats.spill_hits += 1;
                 }
@@ -709,10 +768,10 @@ impl CertCache {
                     inner.stats.invalidations += 1;
                     CACHE_INVALIDATIONS.incr();
                     stale = previous.and_then(|p| {
-                        self.hot
-                            .peek(p)
-                            .map(|e| e.report)
-                            .or_else(|| inner.spill.get(&p).and_then(|line| decode_line(line).ok()))
+                        self.hot.peek(p).map(|e| e.report).or_else(|| {
+                            let line = inner.spill.get(&p)?;
+                            decode_line(line).ok().map(Arc::new)
+                        })
                     });
                 }
             }
@@ -723,15 +782,49 @@ impl CertCache {
     /// Inserts a certificate under `key`, evicting least-recently-used
     /// entries if the hot tier outgrows its byte budget.
     pub fn store(&self, key: Fingerprint, report: CachedReport) {
-        let line: std::sync::Arc<str> = std::sync::Arc::from(report.to_json().render_compact());
+        let line: Arc<str> = Arc::from(report.to_json().render_compact());
         let cost = line_cost(&line);
         let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         inner.spill.remove(&key.0);
         inner.stats.stores += 1;
         CACHE_STORES.incr();
         CACHE_BYTES.add(cost as u64);
-        self.admit(&mut inner, key.0, HotEntry { report, line }, cost);
+        self.admit(&mut inner, key.0, HotEntry { report: Arc::new(report), line }, cost);
         inner.dirty = true;
+    }
+
+    /// Answers a program from the cell list memoised under `program`, for
+    /// `engine`: the certificates of its cells, in walk order, each
+    /// accounted exactly as a [`CertCache::lookup_stale`] hit (hit count,
+    /// latest-key update, LRU promotion). Unless every memoised cell is
+    /// resident in the hot tier and passes `usable`, nothing is counted
+    /// and the answer is `None`: the caller falls back to per-cell lookups,
+    /// which also reach the spill tier.
+    pub(crate) fn replay(
+        &self,
+        program: Fingerprint,
+        engine: &str,
+        usable: impl Fn(&CachedReport) -> bool,
+    ) -> Option<Replay> {
+        let cells = self.memo.get(program.0)?;
+        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let reports = cells
+            .iter()
+            .map(|c| self.hot.peek(c.key).map(|e| e.report).filter(|r| usable(r)))
+            .collect::<Option<Vec<_>>>()?;
+        for c in cells.iter() {
+            inner.swap_last_key(&c.method, c.entry == EntryAssumption::Unknown, engine, c.key);
+            self.hot.get(c.key);
+            inner.count_hit();
+        }
+        Some((cells, reports))
+    }
+
+    /// Memoises the cell list of a program run whose cells were all
+    /// answered or stored, for [`CertCache::replay`].
+    pub(crate) fn remember(&self, program: Fingerprint, cells: Vec<MemoCell>) {
+        let cost = memo_cost(&cells);
+        self.memo.insert(program.0, cells.into(), cost);
     }
 
     /// Admits `entry` under `key` into the hot tier, counting every entry
@@ -749,8 +842,8 @@ impl CertCache {
 
     /// Every line held, hot tier and spill, in sorted key order. The caller
     /// holds the `inner` lock, so the two tiers are read consistently.
-    fn sorted_lines(&self, inner: &Inner) -> Vec<(u64, std::sync::Arc<str>)> {
-        let mut lines: Vec<(u64, std::sync::Arc<str>)> =
+    fn sorted_lines(&self, inner: &Inner) -> Vec<(u64, Arc<str>)> {
+        let mut lines: Vec<(u64, Arc<str>)> =
             inner.spill.iter().map(|(k, l)| (*k, l.clone())).collect();
         lines.extend(self.hot.entries().into_iter().map(|(k, e)| (k, e.line)));
         lines.sort_unstable_by_key(|(k, _)| *k);
@@ -994,8 +1087,8 @@ mod tests {
         assert_eq!(reopened.stats().loaded, 1);
         assert!(!reopened.stats().recovered_from_corruption);
         assert_eq!(
-            reopened.lookup(Fingerprint(42), "Main.main", false, "scmp-fds"),
-            Some(sample())
+            reopened.lookup(Fingerprint(42), "Main.main", false, "scmp-fds").as_deref(),
+            Some(&sample())
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

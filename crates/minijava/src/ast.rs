@@ -1,8 +1,13 @@
 //! The mini-Java abstract syntax tree (pre-lowering).
 //!
-//! Method bodies borrow every name from the source text (`'src`) and live
-//! only between parsing and lowering; a lowered [`crate::Program`] keeps
-//! just the class declarations ([`ClassDecl`]: name, fields, statics).
+//! The tree borrows every name, type names included, from the source text
+//! (`'src`) and lives only between parsing and lowering. Nothing is
+//! interned until lowering has accepted the whole program, so a rejected
+//! client leaves the process-global symbol table as it found it. A lowered
+//! [`crate::Program`] keeps just the class declarations ([`ClassDecl`]:
+//! name, fields, statics).
+
+use std::fmt;
 
 use canvas_logic::TypeName;
 
@@ -21,14 +26,31 @@ pub struct ClassDecl {
     pub span: Span,
 }
 
-/// A parsed class: its kept declaration plus the method bodies lowering
-/// consumes.
+/// A parsed class: what [`ClassDecl`] keeps, still borrowed, plus the
+/// method bodies lowering consumes.
 #[derive(Debug)]
 pub(crate) struct ClassAst<'src> {
-    /// Name, fields, statics and span.
-    pub decl: ClassDecl,
+    /// Class name.
+    pub name: &'src str,
+    /// Instance fields.
+    pub fields: Vec<FieldAst<'src>>,
+    /// Static fields.
+    pub statics: Vec<FieldAst<'src>>,
+    /// Declaration position.
+    pub span: Span,
     /// Methods, including constructors under the name `<init>`.
     pub methods: Vec<MethodDecl<'src>>,
+}
+
+/// A parsed field declaration.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FieldAst<'src> {
+    /// Field name.
+    pub name: &'src str,
+    /// Declared type.
+    pub ty: &'src str,
+    /// Declaration position.
+    pub span: Span,
 }
 
 /// A field declaration.
@@ -50,9 +72,9 @@ pub(crate) struct MethodDecl<'src> {
     /// Whether the method is `static`.
     pub is_static: bool,
     /// Parameters as (name, type).
-    pub params: Vec<(&'src str, TypeName)>,
+    pub params: Vec<(&'src str, &'src str)>,
     /// Declared return type (`None` for `void`).
-    pub ret_ty: Option<TypeName>,
+    pub ret_ty: Option<&'src str>,
     /// Body statements.
     pub body: Vec<Stmt<'src>>,
     /// Declaration position.
@@ -69,7 +91,7 @@ pub(crate) enum Stmt<'src> {
         /// Variable name.
         name: &'src str,
         /// Declared type.
-        ty: TypeName,
+        ty: &'src str,
         /// Optional initializer.
         init: Option<Expr<'src>>,
         /// Source position.
@@ -155,7 +177,7 @@ pub(crate) enum Expr<'src> {
     /// `new T(args)`.
     New {
         /// Allocated type.
-        ty: TypeName,
+        ty: AllocTy<'src>,
         /// Constructor arguments.
         args: Vec<Expr<'src>>,
         /// Source position (identifies the allocation site).
@@ -174,4 +196,16 @@ pub(crate) enum Expr<'src> {
     },
     /// Anything the analyses do not track: literals, arithmetic, `null`, …
     Opaque,
+}
+
+/// The type of a `new`, as written. It renders (`Debug`) as the
+/// [`TypeName`] it is interned as once lowering accepts the program, so
+/// parse errors quoting an expression read the same either way.
+#[derive(Clone, Copy)]
+pub(crate) struct AllocTy<'src>(pub &'src str);
+
+impl fmt::Debug for AllocTy<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("TypeName").field(&self.0).finish()
+    }
 }

@@ -240,6 +240,13 @@ impl Cfg {
         self.edges.push(Edge { from, instr, to });
     }
 
+    /// Replaces the instruction of the `edge`-th edge.
+    pub(crate) fn set_instr(&mut self, edge: usize, instr: Instr) {
+        if let Some(e) = self.edges.get_mut(edge) {
+            e.instr = instr;
+        }
+    }
+
     /// Entry node.
     pub fn entry(&self) -> NodeId {
         self.entry

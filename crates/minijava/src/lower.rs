@@ -6,20 +6,25 @@
 //! conditions contribute only their component-relevant effects; the branch
 //! itself becomes two `Nop` edges (a nondeterministic choice), mirroring the
 //! paper's treatment of client control flow.
+//!
+//! Type names stay borrowed (`&str`, compared by content) until the whole
+//! program has lowered; only an accepted program's names are interned
+//! ([`parse_and_lower`]), so a rejected client leaves the process-global
+//! symbol table as it was.
 
 use std::collections::HashMap;
 
 use canvas_easl::{ClassSpec, Spec};
 use canvas_logic::TypeName;
 
-use crate::ast::{ClassAst, Expr, LValue, MethodDecl, Stmt};
+use crate::ast::{ClassAst, ClassDecl, Expr, FieldAst, FieldDecl, LValue, MethodDecl, Stmt};
 use crate::ir::{
     AllocSite, Cfg, Instr, MethodId, MethodIr, NodeId, Program, Site, Span, VarId, VarKind,
     Variable,
 };
 use crate::{parser, SourceError};
 
-/// What kind of type a [`TypeName`] denotes for this program.
+/// What kind of type a type name denotes for this program.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum TyKind {
     Component,
@@ -33,14 +38,15 @@ struct MethodSig<'a> {
     is_static: bool,
     /// Declared parameter count (without the receiver).
     arity: usize,
-    ret_ty: Option<TypeName>,
+    ret_ty: Option<&'a str>,
 }
 
 /// Name-resolution tables. Every key borrows the source text or the
 /// parsed classes, so a lookup such as `method_ids.get(&(class, name))`
 /// builds its key without allocating.
 struct Tables<'a> {
-    spec: &'a Spec,
+    /// The spec's component classes by name, each name resolved once.
+    components: Vec<(&'static str, &'a ClassSpec)>,
     classes: &'a [ClassAst<'a>],
     class_idx: HashMap<&'a str, usize>,
     sigs: Vec<MethodSig<'a>>,
@@ -48,28 +54,136 @@ struct Tables<'a> {
     statics: HashMap<(&'a str, &'a str), VarId>,
 }
 
-impl Tables<'_> {
-    fn ty_kind(&self, ty: &TypeName) -> TyKind {
-        if self.spec.is_component_type(ty) {
+/// The spec's component classes by name.
+fn components(spec: &Spec) -> Vec<(&'static str, &ClassSpec)> {
+    spec.classes().iter().map(|c| (c.name().as_str(), c)).collect()
+}
+
+impl<'a> Tables<'a> {
+    fn component(&self, ty: &str) -> Option<&'a ClassSpec> {
+        self.components.iter().find(|&&(name, _)| name == ty).map(|&(_, c)| c)
+    }
+
+    fn ty_kind(&self, ty: &str) -> TyKind {
+        if self.component(ty).is_some() {
             TyKind::Component
-        } else if self.class_idx.contains_key(ty.as_str()) {
+        } else if self.class_idx.contains_key(ty) {
             TyKind::Client
         } else {
             TyKind::Opaque
         }
     }
 
-    fn client_field_ty(&self, class: &TypeName, field: &str) -> Option<TypeName> {
-        let c = &self.classes[*self.class_idx.get(class.as_str())?];
-        c.decl.fields.iter().find(|f| f.name == field).map(|f| f.ty)
+    fn client_field_ty(&self, class: &str, field: &str) -> Option<&'a str> {
+        let c = &self.classes[*self.class_idx.get(class)?];
+        c.fields.iter().find(|f| f.name == field).map(|f| f.ty)
+    }
+}
+
+/// A variable whose type name is not interned yet.
+struct LVar<'a> {
+    name: String,
+    ty: &'a str,
+    owner: Option<MethodId>,
+    kind: VarKind,
+}
+
+/// An allocation whose instruction waits for its type to be interned: its
+/// CFG edge carries a `Nop` until [`parse_and_lower`] writes the
+/// [`Instr::New`] (whose type is always its destination's).
+struct PendingNew {
+    method: MethodId,
+    edge: usize,
+    dst: VarId,
+    site: AllocSite,
+    args: Vec<VarId>,
+    at: Site,
+}
+
+/// A lowered method body, before interning.
+struct LoweredBody {
+    params: Vec<VarId>,
+    ret_var: Option<VarId>,
+    cfg: Cfg,
+}
+
+/// Interns the type names of one accepted program, remembering the first
+/// few distinct ones: a fleet-sized program names about five types, so
+/// most of its names are answered without the global table's lock, and
+/// without allocating.
+#[derive(Default)]
+struct Names<'a>([Option<(&'a str, TypeName)>; 8]);
+
+impl<'a> Names<'a> {
+    fn get(&mut self, name: &'a str) -> TypeName {
+        for slot in &mut self.0 {
+            match slot {
+                Some((seen, ty)) if *seen == name => return *ty,
+                Some(_) => {}
+                None => return slot.insert((name, TypeName::new(name))).1,
+            }
+        }
+        TypeName::new(name)
+    }
+
+    fn fields(&mut self, fields: &[FieldAst<'a>]) -> Vec<FieldDecl> {
+        let decl = |f: &FieldAst<'a>| FieldDecl {
+            name: f.name.to_string(),
+            ty: self.get(f.ty),
+            span: f.span,
+        };
+        fields.iter().map(decl).collect()
     }
 }
 
 pub(crate) fn parse_and_lower(src: &str, spec: &Spec) -> Result<Program, SourceError> {
     let asts = parser::parse_program(src)?;
-    let mut vars: Vec<Variable> = Vec::new();
-    let methods = lower_classes(&asts, spec, &mut vars)?;
-    let classes: Vec<_> = asts.into_iter().map(|c| c.decl).collect();
+    let (mut lvars, mut news) = (Vec::new(), Vec::new());
+    let bodies = lower_classes(&asts, spec, &mut lvars, &mut news)?;
+
+    // the program is accepted: only now are its type names interned
+    let mut names = Names::default();
+    let vars: Vec<Variable> = lvars
+        .into_iter()
+        .enumerate()
+        .map(|(k, v)| Variable {
+            id: VarId(k),
+            name: v.name,
+            ty: names.get(v.ty),
+            owner: v.owner,
+            kind: v.kind,
+        })
+        .collect();
+    let decls = asts.iter().flat_map(|c| c.methods.iter().map(move |m| (c.name, m)));
+    let mut methods: Vec<MethodIr> = decls
+        .zip(bodies)
+        .enumerate()
+        .map(|(k, ((class, m), body))| MethodIr {
+            id: MethodId(k),
+            class: names.get(class),
+            name: m.name.to_string(),
+            is_static: m.is_static,
+            params: body.params,
+            ret_var: body.ret_var,
+            cfg: body.cfg,
+            span: m.span,
+            end_line: m.end_line,
+        })
+        .collect();
+    for n in news {
+        let new =
+            Instr::New { dst: n.dst, ty: vars[n.dst.0].ty, site: n.site, args: n.args, at: n.at };
+        methods[n.method.0].cfg.set_instr(n.edge, new);
+    }
+    let classes: Vec<ClassDecl> = asts
+        .iter()
+        .map(|c| ClassDecl {
+            name: names.get(c.name),
+            fields: names.fields(&c.fields),
+            statics: names.fields(&c.statics),
+            span: c.span,
+        })
+        .collect();
 
     let scmp_shaped =
         classes.iter().all(|c| c.fields.iter().all(|f| !spec.is_component_type(&f.ty)));
@@ -88,18 +202,19 @@ pub(crate) fn parse_and_lower(src: &str, spec: &Spec) -> Result<Program, SourceE
 fn lower_classes<'a>(
     classes: &'a [ClassAst<'a>],
     spec: &'a Spec,
-    vars: &mut Vec<Variable>,
-) -> Result<Vec<MethodIr>, SourceError> {
+    vars: &mut Vec<LVar<'a>>,
+    news: &mut Vec<PendingNew>,
+) -> Result<Vec<LoweredBody>, SourceError> {
+    let components = components(spec);
     let mut class_idx = HashMap::with_capacity(classes.len());
     for (k, c) in classes.iter().enumerate() {
-        let c = &c.decl;
-        if spec.is_component_type(&c.name) {
+        if components.iter().any(|&(name, _)| name == c.name) {
             return Err(SourceError::new(
                 c.span.line,
                 format!("client class {} shadows a component class", c.name),
             ));
         }
-        if class_idx.insert(c.name.as_str(), k).is_some() {
+        if class_idx.insert(c.name, k).is_some() {
             return Err(SourceError::new(c.span.line, format!("duplicate class {}", c.name)));
         }
     }
@@ -108,7 +223,7 @@ fn lower_classes<'a>(
     let mut sigs = Vec::new();
     let mut method_ids = HashMap::new();
     for c in classes {
-        let class = c.decl.name.as_str();
+        let class = c.name;
         for m in &c.methods {
             let id = MethodId(sigs.len());
             if method_ids.insert((class, m.name), id).is_some() {
@@ -130,28 +245,27 @@ fn lower_classes<'a>(
     // statics become global variables
     let mut statics = HashMap::new();
     for c in classes {
-        let class = c.decl.name.as_str();
-        for f in &c.decl.statics {
+        let class = c.name;
+        for f in &c.statics {
             let id = VarId(vars.len());
-            vars.push(Variable {
-                id,
+            vars.push(LVar {
                 name: format!("{class}.{}", f.name),
                 ty: f.ty,
                 owner: None,
                 kind: VarKind::Static,
             });
-            statics.insert((class, f.name.as_str()), id);
+            statics.insert((class, f.name), id);
         }
     }
 
-    let tables = Tables { spec, classes, class_idx, sigs, method_ids, statics };
+    let tables = Tables { components, classes, class_idx, sigs, method_ids, statics };
 
     let mut methods = Vec::with_capacity(tables.sigs.len());
     let mut alloc_count: u32 = 0;
     for c in classes {
         for m in &c.methods {
             let mid = MethodId(methods.len());
-            methods.push(lower_method(&tables, c, m, mid, vars, &mut alloc_count)?);
+            methods.push(lower_method(&tables, c, m, mid, vars, news, &mut alloc_count)?);
         }
     }
     Ok(methods)
@@ -165,7 +279,8 @@ struct Lower<'a, 'l> {
     class_name: &'a str,
     cfg: Cfg,
     cur: NodeId,
-    vars: &'l mut Vec<Variable>,
+    vars: &'l mut Vec<LVar<'a>>,
+    news: &'l mut Vec<PendingNew>,
     locals: HashMap<&'a str, VarId>,
     temp_count: usize,
     alloc_count: &'l mut u32,
@@ -174,13 +289,13 @@ struct Lower<'a, 'l> {
 }
 
 impl<'a> Lower<'a, '_> {
-    fn new_var(&mut self, name: String, ty: TypeName, kind: VarKind) -> VarId {
+    fn new_var(&mut self, name: String, ty: &'a str, kind: VarKind) -> VarId {
         let id = VarId(self.vars.len());
-        self.vars.push(Variable { id, name, ty, owner: Some(self.mid), kind });
+        self.vars.push(LVar { name, ty, owner: Some(self.mid), kind });
         id
     }
 
-    fn temp(&mut self, ty: TypeName) -> VarId {
+    fn temp(&mut self, ty: &'a str) -> VarId {
         let n = self.temp_count;
         self.temp_count += 1;
         self.new_var(format!("$t{n}"), ty, VarKind::Temp)
@@ -192,16 +307,24 @@ impl<'a> Lower<'a, '_> {
         self.cur = next;
     }
 
+    /// Emits `dst = new T(args)`, `T` being `dst`'s type (see
+    /// [`PendingNew`]).
+    fn emit_new(&mut self, dst: VarId, site: AllocSite, args: Vec<VarId>, at: Site) {
+        let edge = self.cfg.edges().len();
+        self.news.push(PendingNew { method: self.mid, edge, dst, site, args, at });
+        self.emit(Instr::Nop);
+    }
+
     fn site(&self, span: Span, what: impl Into<String>) -> Site {
         Site { method: self.mid, span, what: what.into() }
     }
 
-    fn var_ty(&self, v: VarId) -> TypeName {
+    fn var_ty(&self, v: VarId) -> &'a str {
         self.vars[v.0].ty
     }
 
     fn opaque_temp(&mut self) -> VarId {
-        let t = self.temp(TypeName::new("Object"));
+        let t = self.temp("Object");
         self.emit(Instr::Nullify { dst: t });
         t
     }
@@ -219,7 +342,7 @@ impl<'a> Lower<'a, '_> {
             Expr::Opaque => Ok(None),
             Expr::Var(name) => self.lower_var_read(name, span),
             Expr::FieldGet { base, field } => self.lower_field_get(base, field, span),
-            Expr::New { ty, args, span } => self.lower_new(ty, args, *span, None).map(Some),
+            Expr::New { ty, args, span } => self.lower_new(ty.0, args, *span, None).map(Some),
             Expr::Call { recv, method, args, span } => {
                 self.lower_call(recv.as_deref(), method, args, *span, None)
             }
@@ -230,7 +353,7 @@ impl<'a> Lower<'a, '_> {
     fn lower_expr_into(&mut self, e: &Expr<'a>, dst: VarId, span: Span) -> Result<(), SourceError> {
         match e {
             Expr::New { ty, args, span } => {
-                self.lower_new(ty, args, *span, Some(dst))?;
+                self.lower_new(ty.0, args, *span, Some(dst))?;
                 Ok(())
             }
             Expr::Call { recv, method, args, span } => {
@@ -270,13 +393,13 @@ impl<'a> Lower<'a, '_> {
             return Ok(Some(v));
         }
         // instance field of the current class
-        if self.class.decl.fields.iter().any(|f| f.name == name) {
+        if self.class.fields.iter().any(|f| f.name == name) {
             let this = self.this_var.ok_or_else(|| {
                 SourceError::new(span.line, format!("field {name:?} used in a static method"))
             })?;
             let fty = self
                 .t
-                .client_field_ty(&self.class.decl.name, name)
+                .client_field_ty(self.class_name, name)
                 .ok_or_else(|| SourceError::new(span.line, format!("unknown field {name:?}")))?;
             let dst = self.temp(fty);
             self.emit(Instr::Load { dst, base: this, field: name.to_string() });
@@ -313,9 +436,9 @@ impl<'a> Lower<'a, '_> {
             return Ok(None); // reading a field of an opaque value
         };
         let bty = self.var_ty(b);
-        match self.t.ty_kind(&bty) {
+        match self.t.ty_kind(bty) {
             TyKind::Client => {
-                let fty = self.t.client_field_ty(&bty, field).ok_or_else(|| {
+                let fty = self.t.client_field_ty(bty, field).ok_or_else(|| {
                     SourceError::new(span.line, format!("type {bty} has no field {field:?}"))
                 })?;
                 let dst = self.temp(fty);
@@ -335,7 +458,7 @@ impl<'a> Lower<'a, '_> {
     fn is_value_name(&self, name: &str) -> bool {
         name == "this"
             || self.locals.contains_key(name)
-            || self.class.decl.fields.iter().any(|f| f.name == name)
+            || self.class.fields.iter().any(|f| f.name == name)
             || self.t.statics.contains_key(&(self.class_name, name))
     }
 
@@ -355,7 +478,7 @@ impl<'a> Lower<'a, '_> {
 
     fn lower_new(
         &mut self,
-        ty: &TypeName,
+        ty: &'a str,
         args: &[Expr<'a>],
         span: Span,
         preferred: Option<VarId>,
@@ -363,7 +486,7 @@ impl<'a> Lower<'a, '_> {
         let avars = self.lower_args(args, span)?;
         match self.t.ty_kind(ty) {
             TyKind::Component => {
-                let class = self.t.spec.class(ty.as_str()).ok_or_else(|| {
+                let class = self.t.component(ty).ok_or_else(|| {
                     SourceError::new(span.line, format!("unknown component type {ty}"))
                 })?;
                 let arity = class.ctor().map_or(0, |c| c.params().len());
@@ -377,14 +500,14 @@ impl<'a> Lower<'a, '_> {
                     ));
                 }
                 let dst =
-                    preferred.filter(|d| self.var_ty(*d) == *ty).unwrap_or_else(|| self.temp(*ty));
+                    preferred.filter(|d| self.var_ty(*d) == ty).unwrap_or_else(|| self.temp(ty));
                 let site = self.fresh_alloc();
                 let at = self.site(span, format!("new {ty}(...)"));
-                self.emit(Instr::New { dst, ty: *ty, site, args: avars, at });
+                self.emit_new(dst, site, avars, at);
                 Ok(dst)
             }
             TyKind::Client => {
-                let ctor = self.t.method_ids.get(&(ty.as_str(), ClassSpec::CTOR));
+                let ctor = self.t.method_ids.get(&(ty, ClassSpec::CTOR));
                 match ctor {
                     None if !avars.is_empty() => Err(SourceError::new(
                         span.line,
@@ -392,11 +515,11 @@ impl<'a> Lower<'a, '_> {
                     )),
                     ctor => {
                         let dst = preferred
-                            .filter(|d| self.var_ty(*d) == *ty)
-                            .unwrap_or_else(|| self.temp(*ty));
+                            .filter(|d| self.var_ty(*d) == ty)
+                            .unwrap_or_else(|| self.temp(ty));
                         let site = self.fresh_alloc();
                         let at = self.site(span, format!("new {ty}(...)"));
-                        self.emit(Instr::New { dst, ty: *ty, site, args: Vec::new(), at });
+                        self.emit_new(dst, site, Vec::new(), at);
                         if let Some(&callee) = ctor {
                             let sig = &self.t.sigs[callee.0];
                             if sig.arity != avars.len() {
@@ -451,20 +574,18 @@ impl<'a> Lower<'a, '_> {
         match resolved {
             ResolvedRecv::Value(rv) => {
                 let rty = self.var_ty(rv);
-                match self.t.ty_kind(&rty) {
+                match self.t.ty_kind(rty) {
                     TyKind::Component => {
                         self.lower_component_call(rv, method, args, span, preferred)
                     }
                     TyKind::Client => {
                         let callee =
-                            self.t.method_ids.get(&(rty.as_str(), method)).copied().ok_or_else(
-                                || {
-                                    SourceError::new(
-                                        span.line,
-                                        format!("class {rty} has no method {method:?}"),
-                                    )
-                                },
-                            )?;
+                            self.t.method_ids.get(&(rty, method)).copied().ok_or_else(|| {
+                                SourceError::new(
+                                    span.line,
+                                    format!("class {rty} has no method {method:?}"),
+                                )
+                            })?;
                         if self.t.sigs[callee.0].is_static {
                             return Err(SourceError::new(
                                 span.line,
@@ -524,10 +645,10 @@ impl<'a> Lower<'a, '_> {
         preferred: Option<VarId>,
     ) -> Result<Option<VarId>, SourceError> {
         let rty = self.var_ty(rv);
-        let class =
-            self.t.spec.class(rty.as_str()).ok_or_else(|| {
-                SourceError::new(span.line, format!("unknown component type {rty}"))
-            })?;
+        let class = self
+            .t
+            .component(rty)
+            .ok_or_else(|| SourceError::new(span.line, format!("unknown component type {rty}")))?;
         let m = class.method(method);
         let known = m.is_some();
         let avars = self.lower_args(args, span)?;
@@ -544,7 +665,8 @@ impl<'a> Lower<'a, '_> {
             }
         }
         let dst = m.and_then(|m| m.ret_ty()).map(|rt| {
-            preferred.filter(|d| self.var_ty(*d) == *rt).unwrap_or_else(|| self.temp(*rt))
+            let rt = rt.as_str();
+            preferred.filter(|d| self.var_ty(*d) == rt).unwrap_or_else(|| self.temp(rt))
         });
         let what = format!("{}.{method}()", self.vars[rv.0].name);
         let at = self.site(span, what);
@@ -683,7 +805,7 @@ impl<'a> Lower<'a, '_> {
                     return self.lower_expr_into(rhs, v, span);
                 }
                 // instance field of current class: this.name = rhs
-                if self.class.decl.fields.iter().any(|f| f.name == name) {
+                if self.class.fields.iter().any(|f| f.name == name) {
                     let this = self.this_var.ok_or_else(|| {
                         SourceError::new(
                             span.line,
@@ -712,13 +834,13 @@ impl<'a> Lower<'a, '_> {
                     return Err(SourceError::new(span.line, "assignment through an opaque value"));
                 };
                 let bty = self.var_ty(b);
-                if self.t.ty_kind(&bty) != TyKind::Client {
+                if self.t.ty_kind(bty) != TyKind::Client {
                     return Err(SourceError::new(
                         span.line,
                         format!("cannot assign field of non-client type {bty}"),
                     ));
                 }
-                if self.t.client_field_ty(&bty, field).is_none() {
+                if self.t.client_field_ty(bty, field).is_none() {
                     return Err(SourceError::new(
                         span.line,
                         format!("type {bty} has no field {field:?}"),
@@ -750,17 +872,19 @@ fn lower_method<'a>(
     class: &'a ClassAst<'a>,
     m: &'a MethodDecl<'a>,
     mid: MethodId,
-    vars: &mut Vec<Variable>,
+    vars: &mut Vec<LVar<'a>>,
+    news: &mut Vec<PendingNew>,
     alloc_count: &mut u32,
-) -> Result<MethodIr, SourceError> {
+) -> Result<LoweredBody, SourceError> {
     let mut lw = Lower {
         t: tables,
         mid,
         class,
-        class_name: class.decl.name.as_str(),
+        class_name: class.name,
         cfg: Cfg::new(),
         cur: NodeId(0),
         vars,
+        news,
         locals: HashMap::new(),
         temp_count: 0,
         alloc_count,
@@ -771,7 +895,7 @@ fn lower_method<'a>(
 
     let mut params = Vec::new();
     if !m.is_static {
-        let v = lw.new_var("this".to_string(), class.decl.name, VarKind::Param(0));
+        let v = lw.new_var("this".to_string(), class.name, VarKind::Param(0));
         lw.this_var = Some(v);
         params.push(v);
     }
@@ -783,9 +907,9 @@ fn lower_method<'a>(
         }
         params.push(v);
     }
-    if let Some(rt) = &m.ret_ty {
+    if let Some(rt) = m.ret_ty {
         if tables.ty_kind(rt) != TyKind::Opaque {
-            lw.ret_var = Some(lw.new_var("$ret".to_string(), *rt, VarKind::Ret));
+            lw.ret_var = Some(lw.new_var("$ret".to_string(), rt, VarKind::Ret));
         }
     }
 
@@ -795,17 +919,7 @@ fn lower_method<'a>(
     let exit = lw.cfg.exit();
     lw.cfg.add_edge(lw.cur, Instr::Nop, exit);
 
-    Ok(MethodIr {
-        id: mid,
-        class: class.decl.name,
-        name: m.name.to_string(),
-        is_static: m.is_static,
-        params,
-        ret_var: lw.ret_var,
-        cfg: lw.cfg,
-        span: m.span,
-        end_line: m.end_line,
-    })
+    Ok(LoweredBody { params, ret_var: lw.ret_var, cfg: lw.cfg })
 }
 
 #[cfg(test)]

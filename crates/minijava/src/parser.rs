@@ -7,9 +7,8 @@
 //! abstraction of client control flow.
 
 use canvas_easl::lexer::{lex, Cursor, Tok};
-use canvas_logic::TypeName;
 
-use crate::ast::{ClassAst, ClassDecl, Expr, FieldDecl, LValue, MethodDecl, Stmt};
+use crate::ast::{AllocTy, ClassAst, Expr, FieldAst, LValue, MethodDecl, Stmt};
 use crate::ir::Span;
 use crate::SourceError;
 
@@ -73,7 +72,7 @@ fn parse_class<'src>(cur: &mut Cursor<'src>) -> Result<ClassAst<'src>, SourceErr
         if matches!(cur.peek(), Some(Tok::Punct("("))) {
             let params = parse_params(cur)?;
             let (body, end_line) = parse_block(cur)?;
-            let ret_ty = (first != "void").then(|| TypeName::new(first));
+            let ret_ty = (first != "void").then_some(first);
             methods.push(MethodDecl {
                 name: second,
                 is_static,
@@ -91,8 +90,7 @@ fn parse_class<'src>(cur: &mut Cursor<'src>) -> Result<ClassAst<'src>, SourceErr
                 ));
             }
             cur.expect(";")?;
-            let decl =
-                FieldDecl { name: second.to_string(), ty: TypeName::new(first), span: mspan };
+            let decl = FieldAst { name: second, ty: first, span: mspan };
             if is_static {
                 statics.push(decl);
             } else {
@@ -100,17 +98,17 @@ fn parse_class<'src>(cur: &mut Cursor<'src>) -> Result<ClassAst<'src>, SourceErr
             }
         }
     }
-    Ok(ClassAst { decl: ClassDecl { name: TypeName::new(name), fields, statics, span }, methods })
+    Ok(ClassAst { name, fields, statics, span, methods })
 }
 
-fn parse_params<'src>(cur: &mut Cursor<'src>) -> Result<Vec<(&'src str, TypeName)>, SourceError> {
+fn parse_params<'src>(cur: &mut Cursor<'src>) -> Result<Vec<(&'src str, &'src str)>, SourceError> {
     cur.expect("(")?;
     let mut out = Vec::new();
     if !cur.eat(")") {
         loop {
             let ty = cur.expect_ident()?;
             let name = cur.expect_ident()?;
-            out.push((name, TypeName::new(ty)));
+            out.push((name, ty));
             if cur.eat(")") {
                 break;
             }
@@ -171,7 +169,7 @@ fn parse_stmt<'src>(cur: &mut Cursor<'src>) -> Result<Stmt<'src>, SourceError> {
     }
     // declaration? two consecutive identifiers
     if let (Some(Tok::Ident(_)), Some(Tok::Ident(_))) = (cur.peek(), cur.peek_at(1)) {
-        let ty = TypeName::new(cur.expect_ident()?);
+        let ty = cur.expect_ident()?;
         let name = cur.expect_ident()?;
         let init = if cur.eat("=") { Some(parse_expr(cur)?) } else { None };
         cur.expect(";")?;
@@ -191,7 +189,7 @@ fn parse_for<'src>(cur: &mut Cursor<'src>, span: Span) -> Result<Stmt<'src>, Sou
     let mut pre: Vec<Stmt<'src>> = Vec::new();
     if !cur.eat(";") {
         if let (Some(Tok::Ident(_)), Some(Tok::Ident(_))) = (cur.peek(), cur.peek_at(1)) {
-            let ty = TypeName::new(cur.expect_ident()?);
+            let ty = cur.expect_ident()?;
             let name = cur.expect_ident()?;
             let init = if cur.eat("=") { Some(parse_expr(cur)?) } else { None };
             pre.push(Stmt::VarDecl { name, ty, init, span });
@@ -342,7 +340,7 @@ fn parse_expr<'src>(cur: &mut Cursor<'src>) -> Result<Expr<'src>, SourceError> {
             cur.next_tok()?;
             let ty = cur.expect_ident()?;
             let args = parse_args(cur)?;
-            Expr::New { ty: TypeName::new(ty), args, span }
+            Expr::New { ty: AllocTy(ty), args, span }
         }
         Some(Tok::Ident("null" | "true" | "false")) => {
             cur.next_tok()?;
@@ -476,8 +474,8 @@ mod tests {
         )
         .unwrap();
         let c = &classes[0];
-        assert_eq!(c.decl.fields.len(), 1);
-        assert_eq!(c.decl.statics.len(), 1);
+        assert_eq!(c.fields.len(), 1);
+        assert_eq!(c.statics.len(), 1);
         assert_eq!(c.methods[0].name, "<init>");
     }
 

@@ -1,7 +1,8 @@
 //! Every per-method run opens one `certify <method> [engine]` trace span,
 //! whichever whole-program path ran it: plain, certificate-emitting, or a
-//! certificate-cache miss. Tracing is process-global, so this file holds a
-//! single test.
+//! certificate-cache miss. A hit runs none, whether the store's program
+//! memo answered it or the per-cell lookups did. Tracing is process-global,
+//! so this file holds a single test.
 
 use canvas_core::{Certifier, Engine};
 use canvas_incr::store::CertCache;
@@ -49,11 +50,17 @@ fn every_cell_run_opens_one_certify_span() {
     inc.certify_program_certified(HELPERS, &program, engine).expect("cold");
     let misses = certify_spans();
     inc.certify_program_certified(HELPERS, &program, engine).expect("warm");
-    let hits = certify_spans();
+    let memo_hits = certify_spans();
+    // a new text (a trailing comment) misses the memo but not the cells
+    let commented = format!("{HELPERS}// resubmitted\n");
+    let reparsed = Program::parse(&commented, inc.certifier().spec()).expect("parses");
+    inc.certify_program_certified(&commented, &reparsed, engine).expect("warm");
+    let cell_hits = certify_spans();
     trace::set_tracing(false);
 
     assert_eq!(plain, cells);
     assert_eq!(certificate, cells);
     assert_eq!(misses, cells);
-    assert!(hits.is_empty(), "a cache hit runs no engine: {hits:?}");
+    assert!(memo_hits.is_empty(), "a memo hit runs no engine: {memo_hits:?}");
+    assert!(cell_hits.is_empty(), "a cache hit runs no engine: {cell_hits:?}");
 }

@@ -142,3 +142,82 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// A fleet program with one method edited `level` times: each edit appends
+/// one more `add` call to the program's first `recv.add(...);` line, so
+/// every other line, and with it every other method's cell, is unchanged.
+fn edited(source: &str, level: usize) -> String {
+    let mut out = String::with_capacity(source.len() + 16 * level);
+    let mut done = false;
+    for line in source.lines() {
+        out.push_str(line);
+        let t = line.trim();
+        if !done && t.contains(".add(\"") && t.ends_with(");") {
+            let recv = &t[..t.find(".add(").unwrap_or(0)];
+            for _ in 0..level {
+                out.push_str(&format!(" {recv}.add(\"e\");"));
+            }
+            done = true;
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// (d) The program memo answers exactly as the per-cell path would. Two
+/// certifiers on two stores of the same kind take one seeded stream of
+/// fleet programs, resubmissions and one-method edits. The first gets each
+/// source as it is, so a resubmission can be replayed from the memo; the
+/// second gets it with a unique trailing comment, which leaves every cell
+/// key as it was but never repeats a text, so its memo never answers.
+/// Verdicts, certificates, per-run and store-wide cache traffic must agree
+/// at every step, on an unbounded store and on one whose budget evicts.
+#[test]
+fn memo_replay_matches_the_per_cell_path() {
+    let params =
+        canvas_conformance::fleet::GenParams { programs: 24, seed: 23, ..Default::default() };
+    let corpus = canvas_conformance::fleet::generate_with_threads(&params, 1).expect("generates");
+    let engine = Engine::ScmpFds;
+    for budget in [None, Some(24 * 1024)] {
+        let memo = IncrementalCertifier::new(certifier(), CertCache::in_memory_budgeted(budget));
+        let cells = IncrementalCertifier::new(certifier(), CertCache::in_memory_budgeted(budget));
+        let mut levels = vec![0usize; corpus.len()];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ budget.unwrap_or(0);
+        for step in 0..600 {
+            // splitmix64: one draw picks the program, another the edit
+            let mut draw = || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let i = (draw() % corpus.len() as u64) as usize;
+            if draw() % 10 == 0 {
+                levels[i] += 1;
+            }
+            let source = edited(&corpus[i].source, levels[i]);
+            let commented = format!("{source}// {step}\n");
+            let (ra, ca, sa) = memo
+                .certify_program_certified(&source, &parse(&source), engine)
+                .expect("memo side certifies");
+            let (rb, mut cb, sb) = cells
+                .certify_program_certified(&commented, &parse(&commented), engine)
+                .expect("per-cell side certifies");
+            let at = format!("budget {budget:?}, step {step}, {}", corpus[i].name);
+            assert_eq!(report_digest(&ra), report_digest(&rb), "{at}");
+            assert_eq!(sa, sb, "{at}");
+            assert_eq!(memo.cache().stats(), cells.cache().stats(), "{at}");
+            // the texts differ, so the certificates differ in their source
+            // digest (and the checksum over it) only
+            assert_ne!(ca.source, cb.source, "{at}");
+            cb.source = ca.source;
+            assert_eq!(ca.to_text(), cb.to_text(), "{at}");
+        }
+        let stats = memo.cache().stats();
+        assert!(stats.hits > stats.misses, "{budget:?}: the stream is mostly resubmissions");
+        if budget.is_some() {
+            assert!(stats.evictions > 0, "the budgeted store must evict: {stats:?}");
+        }
+    }
+}
