@@ -17,6 +17,10 @@
 //! newline-delimited JSON on stdin/stdout, with a warm shared cache across
 //! concurrent requests.
 
+// the panic-free frontier: code reachable from external input must
+// return typed errors, never panic (test code is exempt)
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use canvas_abstraction::{
     derived_digest, digest_str, CellSolution, CertCell, Certificate, EntryAssumption,
 };
@@ -230,7 +234,7 @@ impl IncrementalCertifier {
                 (fps.method(method.id), fps.deps(method.id), method.qualified_name())
             };
             let key = cell_key(body, deps, self.spec_fp, derived_fp, config_fp, entry_unknown);
-            let (hit, stale) = self.cache.lookup_stale(key, &name, entry_unknown, engine_name);
+            let (hit, stale) = self.cache.lookup(key, &name, entry_unknown, engine_name);
             if let Some(hit) = hit.filter(|hit| backs_certificate(hit, engine)) {
                 run.hits += 1;
                 remember(key, &name, entry, true);

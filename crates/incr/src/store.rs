@@ -20,13 +20,13 @@
 //! entry of a solution-emitting engine that carries no solution (a foreign
 //! or hand-edited line) degrades to a miss.
 //!
-//! The in-memory tier is a sharded, size-budgeted LRU ([`crate::lru`]):
-//! each certificate is charged its byte-accurate store-line cost, and when
-//! the hot tier overflows its `--cache-bytes` budget the least-recently
-//! used certificates are *evicted*. Eviction is sound by construction —
-//! every resident entry is a complete verdict that any later request can
-//! recompute from scratch, so losing one can cost latency but never change
-//! an answer. On a disk-backed store the evicted line spills to a cold map
+//! The in-memory tier is a size-budgeted LRU ([`crate::lru`]): each
+//! certificate is charged its byte-accurate store-line cost, and when the
+//! hot tier overflows its `--cache-bytes` budget (one exact global bound)
+//! the least-recently used certificates are *evicted*. Eviction is sound
+//! by construction — every resident entry is a complete verdict that any
+//! later request can recompute from scratch, so losing one can cost
+//! latency but never change an answer. On a disk-backed store the evicted line spills to a cold map
 //! that [`CertCache::persist`] still writes (the disk tier keeps everything);
 //! an in-memory store simply forgets it, and the next lookup is a cold miss.
 //!
@@ -38,10 +38,14 @@
 //! memo is a hint: it is never persisted, it lives in its own LRU under the
 //! same byte budget as the hot tier, and a replay counts nothing unless
 //! every memoised cell is still resident.
+//!
+//! Both LRUs, the spill map and the accounting sit behind one mutex, taken
+//! once by every lookup, store, replay, remember, persist and occupancy
+//! read.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use canvas_abstraction::{CellSolution, CertCell, EntryAssumption};
 use canvas_core::{
@@ -50,6 +54,7 @@ use canvas_core::{
 
 use crate::fingerprint::Fingerprint;
 use crate::json::{obj, Json};
+use crate::lru::Lru;
 
 /// Header line of the on-disk store; bumped when the line format changes.
 /// A [`crate::fingerprint::KEY_VERSION`] bump needs none: entries under
@@ -472,7 +477,6 @@ pub struct CacheStats {
 /// it serializes to. Keeping the line makes the byte accounting exact,
 /// persist allocation-free per entry, and the spill handoff a pointer copy;
 /// sharing the certificate makes a hit a reference-count bump.
-#[derive(Clone)]
 struct HotEntry {
     report: Arc<CachedReport>,
     line: Arc<str>,
@@ -508,11 +512,11 @@ fn decode_line(line: &str) -> Result<CachedReport, String> {
     CachedReport::from_json(&json)
 }
 
-/// Default shard count for the hot tier; small budgets collapse to fewer
-/// shards inside [`crate::lru::ShardedLru`].
-const HOT_SHARDS: usize = 8;
-
 struct Inner {
+    /// The hot tier: resident certificates under the byte budget.
+    hot: Lru<HotEntry>,
+    /// Program memo: memoised cell lists by program key, never persisted.
+    memo: Lru<Arc<[MemoCell]>>,
     /// Last key seen per `engine`, `method` and `entry_unknown` cell, for
     /// invalidation accounting. Nested by name, so a lookup of a cell seen
     /// before borrows its names instead of allocating a key.
@@ -527,6 +531,17 @@ struct Inner {
 }
 
 impl Inner {
+    fn new(cache_bytes: Option<u64>) -> Inner {
+        Inner {
+            hot: Lru::new(cache_bytes),
+            memo: Lru::new(cache_bytes),
+            last_keys: HashMap::new(),
+            spill: HashMap::new(),
+            stats: CacheStats::default(),
+            dirty: false,
+        }
+    }
+
     /// Records `key` as the cell's latest key, returning the previous one.
     fn swap_last_key(
         &mut self,
@@ -549,16 +564,24 @@ impl Inner {
         self.stats.hits += 1;
         CACHE_HITS.incr();
     }
+
+    /// Admits `entry` under `key` into the hot tier, counting every entry
+    /// it displaces as an eviction and, when `spills` (a disk-backed
+    /// store), spilling the evictee (an in-memory store forgets it).
+    fn admit(&mut self, key: u64, entry: HotEntry, cost: usize, spills: bool) {
+        for (k, e) in self.hot.insert(key, entry, cost) {
+            self.stats.evictions += 1;
+            CACHE_EVICTIONS.incr();
+            if spills {
+                self.spill.insert(k, e.line);
+            }
+        }
+    }
 }
 
 /// A thread-safe certificate store. Construction never fails: a missing,
 /// unreadable, or corrupt disk file is a cold (or partially warm) start.
-///
-/// Lock order is `inner` before any hot-tier shard, everywhere.
 pub struct CertCache {
-    hot: crate::lru::ShardedLru<HotEntry>,
-    /// Program memo: memoised cell lists by program key, never persisted.
-    memo: crate::lru::ShardedLru<Arc<[MemoCell]>>,
     inner: Mutex<Inner>,
     path: Option<PathBuf>,
 }
@@ -574,17 +597,7 @@ impl CertCache {
     /// behind it, an evicted certificate is simply gone and the next
     /// lookup for it is a cold miss.
     pub fn in_memory_budgeted(cache_bytes: Option<u64>) -> CertCache {
-        CertCache {
-            hot: crate::lru::ShardedLru::new(cache_bytes, HOT_SHARDS),
-            memo: crate::lru::ShardedLru::new(cache_bytes, HOT_SHARDS),
-            inner: Mutex::new(Inner {
-                last_keys: HashMap::new(),
-                spill: HashMap::new(),
-                stats: CacheStats::default(),
-                dirty: false,
-            }),
-            path: None,
-        }
+        CertCache { inner: Mutex::new(Inner::new(cache_bytes)), path: None }
     }
 
     /// Opens (or cold-starts) the unbounded store under `dir`. Any disk
@@ -601,7 +614,8 @@ impl CertCache {
     pub fn open_budgeted(dir: &Path, cache_bytes: Option<u64>) -> CertCache {
         let path = dir.join(FILE_NAME);
         let mut entries = HashMap::new();
-        let mut stats = CacheStats::default();
+        let mut inner = Inner::new(cache_bytes);
+        let stats = &mut inner.stats;
         match std::fs::read_to_string(&path) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => {
@@ -653,24 +667,21 @@ impl CertCache {
         // whatever overflows the budget start life in the spill tier (not
         // counted as an eviction — nothing was lost, it just never became
         // resident).
-        let hot = crate::lru::ShardedLru::new(cache_bytes, HOT_SHARDS);
-        let mut spill = HashMap::new();
         let mut keys: Vec<u64> = entries.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
             let Some(report) = entries.remove(&key) else { continue };
             let line: Arc<str> = Arc::from(report.to_json().render_compact());
             let cost = line_cost(&line);
-            for (k, e) in hot.insert(key, HotEntry { report: Arc::new(report), line }, cost) {
-                spill.insert(k, e.line);
+            for (k, e) in inner.hot.insert(key, HotEntry { report: Arc::new(report), line }, cost) {
+                inner.spill.insert(k, e.line);
             }
         }
-        CertCache {
-            hot,
-            memo: crate::lru::ShardedLru::new(cache_bytes, HOT_SHARDS),
-            inner: Mutex::new(Inner { last_keys: HashMap::new(), spill, stats, dirty: false }),
-            path: Some(path),
-        }
+        CertCache { inner: Mutex::new(inner), path: Some(path) }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Parses the store text. `Err` = nothing salvageable (bad header);
@@ -706,36 +717,26 @@ impl CertCache {
     }
 
     /// Looks a cell's certificate up, doing hit/miss/invalidation
-    /// accounting. `method`/`entry_unknown`/`engine` identify the logical
-    /// cell, so a key change for a cell the store answered before is
-    /// counted as an invalidation.
+    /// accounting, and returns `(hit, stale)`. `method`/`entry_unknown`/
+    /// `engine` identify the logical cell, so a key change for a cell the
+    /// store answered before is counted as an invalidation.
+    ///
+    /// On such a miss, `stale` is the certificate the same logical cell was
+    /// last answered from, under its previous key: exactly the pre-edit
+    /// fixpoint the delta re-solve seeds from. The hot tier is evictable,
+    /// so the previous key may no longer resolve; a lost seed only means
+    /// the re-solve starts cold, which is sound.
     pub fn lookup(
         &self,
         key: Fingerprint,
         method: &str,
         entry_unknown: bool,
         engine: &str,
-    ) -> Option<Arc<CachedReport>> {
-        self.lookup_stale(key, method, entry_unknown, engine).0
-    }
-
-    /// As [`CertCache::lookup`], additionally returning — on a miss — the
-    /// certificate the same logical cell was last answered from, under its
-    /// previous key. That *stale* entry is exactly the pre-edit fixpoint
-    /// the delta re-solve seeds from. Since the hot tier became evictable
-    /// the previous key may no longer resolve; a lost seed only means the
-    /// re-solve starts cold, which is sound. Accounting is identical to
-    /// `lookup`.
-    pub fn lookup_stale(
-        &self,
-        key: Fingerprint,
-        method: &str,
-        entry_unknown: bool,
-        engine: &str,
     ) -> (Option<Arc<CachedReport>>, Option<Arc<CachedReport>>) {
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         let previous = inner.swap_last_key(method, entry_unknown, engine, key.0);
-        let mut found = self.hot.get(key.0).map(|e| e.report);
+        let mut found = inner.hot.get(key.0).map(|e| Arc::clone(&e.report));
         let mut from_spill = false;
         if found.is_none() {
             if let Some(line) = inner.spill.remove(&key.0) {
@@ -748,7 +749,7 @@ impl CertCache {
                     from_spill = true;
                     let report = Arc::new(report);
                     let entry = HotEntry { report: Arc::clone(&report), line: line.clone() };
-                    self.admit(&mut inner, key.0, entry, line_cost(&line));
+                    inner.admit(key.0, entry, line_cost(&line), self.path.is_some());
                     found = Some(report);
                 }
             }
@@ -768,7 +769,7 @@ impl CertCache {
                     inner.stats.invalidations += 1;
                     CACHE_INVALIDATIONS.incr();
                     stale = previous.and_then(|p| {
-                        self.hot.peek(p).map(|e| e.report).or_else(|| {
+                        inner.hot.peek(p).map(|e| Arc::clone(&e.report)).or_else(|| {
                             let line = inner.spill.get(&p)?;
                             decode_line(line).ok().map(Arc::new)
                         })
@@ -784,18 +785,19 @@ impl CertCache {
     pub fn store(&self, key: Fingerprint, report: CachedReport) {
         let line: Arc<str> = Arc::from(report.to_json().render_compact());
         let cost = line_cost(&line);
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self.lock();
         inner.spill.remove(&key.0);
         inner.stats.stores += 1;
         CACHE_STORES.incr();
         CACHE_BYTES.add(cost as u64);
-        self.admit(&mut inner, key.0, HotEntry { report: Arc::new(report), line }, cost);
+        let spills = self.path.is_some();
+        inner.admit(key.0, HotEntry { report: Arc::new(report), line }, cost, spills);
         inner.dirty = true;
     }
 
     /// Answers a program from the cell list memoised under `program`, for
     /// `engine`: the certificates of its cells, in walk order, each
-    /// accounted exactly as a [`CertCache::lookup_stale`] hit (hit count,
+    /// accounted exactly as a [`CertCache::lookup`] hit (hit count,
     /// latest-key update, LRU promotion). Unless every memoised cell is
     /// resident in the hot tier and passes `usable`, nothing is counted
     /// and the answer is `None`: the caller falls back to per-cell lookups,
@@ -806,15 +808,16 @@ impl CertCache {
         engine: &str,
         usable: impl Fn(&CachedReport) -> bool,
     ) -> Option<Replay> {
-        let cells = self.memo.get(program.0)?;
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let cells = Arc::clone(inner.memo.get(program.0)?);
         let reports = cells
             .iter()
-            .map(|c| self.hot.peek(c.key).map(|e| e.report).filter(|r| usable(r)))
+            .map(|c| inner.hot.peek(c.key).map(|e| Arc::clone(&e.report)).filter(|r| usable(r)))
             .collect::<Option<Vec<_>>>()?;
         for c in cells.iter() {
             inner.swap_last_key(&c.method, c.entry == EntryAssumption::Unknown, engine, c.key);
-            self.hot.get(c.key);
+            inner.hot.get(c.key);
             inner.count_hit();
         }
         Some((cells, reports))
@@ -824,52 +827,28 @@ impl CertCache {
     /// answered or stored, for [`CertCache::replay`].
     pub(crate) fn remember(&self, program: Fingerprint, cells: Vec<MemoCell>) {
         let cost = memo_cost(&cells);
-        self.memo.insert(program.0, cells.into(), cost);
-    }
-
-    /// Admits `entry` under `key` into the hot tier, counting every entry
-    /// it displaces as an eviction and, on a disk-backed store, spilling
-    /// the evictee (an in-memory store forgets it).
-    fn admit(&self, inner: &mut Inner, key: u64, entry: HotEntry, cost: usize) {
-        for (k, e) in self.hot.insert(key, entry, cost) {
-            inner.stats.evictions += 1;
-            CACHE_EVICTIONS.incr();
-            if self.path.is_some() {
-                inner.spill.insert(k, e.line);
-            }
-        }
-    }
-
-    /// Every line held, hot tier and spill, in sorted key order. The caller
-    /// holds the `inner` lock, so the two tiers are read consistently.
-    fn sorted_lines(&self, inner: &Inner) -> Vec<(u64, Arc<str>)> {
-        let mut lines: Vec<(u64, Arc<str>)> =
-            inner.spill.iter().map(|(k, l)| (*k, l.clone())).collect();
-        lines.extend(self.hot.entries().into_iter().map(|(k, e)| (k, e.line)));
-        lines.sort_unstable_by_key(|(k, _)| *k);
-        lines
+        self.lock().memo.insert(program.0, cells.into(), cost);
     }
 
     /// Number of certificates currently held (hot tier plus spill).
     pub fn len(&self) -> usize {
-        let spill =
-            self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner).spill.len();
-        self.hot.len() + spill
+        let inner = self.lock();
+        inner.hot.len() + inner.spill.len()
     }
 
     /// Number of certificates resident in the hot tier.
     pub fn memory_entries(&self) -> usize {
-        self.hot.len()
+        self.lock().hot.len()
     }
 
     /// Hot-tier occupancy in store-line bytes.
     pub fn memory_bytes(&self) -> u64 {
-        self.hot.bytes()
+        self.lock().hot.bytes()
     }
 
     /// The configured hot-tier byte budget (`None` = unbounded).
     pub fn budget_bytes(&self) -> Option<u64> {
-        self.hot.budget_bytes()
+        self.lock().hot.budget_bytes()
     }
 
     /// Whether the store holds no certificates.
@@ -879,16 +858,7 @@ impl CertCache {
 
     /// A snapshot of the accounting counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner).stats
-    }
-
-    /// Resets the hit/miss/invalidation counters (entries are kept).
-    pub fn reset_stats(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let loaded = inner.stats.loaded;
-        let recovered = inner.stats.recovered_from_corruption;
-        inner.stats =
-            CacheStats { loaded, recovered_from_corruption: recovered, ..CacheStats::default() };
+        self.lock().stats
     }
 
     /// Writes the store to disk (no-op for in-memory stores or when nothing
@@ -901,20 +871,22 @@ impl CertCache {
     /// written; callers typically warn and continue.
     pub fn persist(&self) -> Result<(), CanvasError> {
         let Some(path) = &self.path else { return Ok(()) };
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self.lock();
         if !inner.dirty {
             return Ok(());
         }
         // the disk tier is the union of both in-memory tiers: eviction
         // never loses a disk-backed certificate
-        let lines = self.sorted_lines(&inner);
+        let mut lines: Vec<(u64, &str)> = inner.spill.iter().map(|(k, l)| (*k, &**l)).collect();
+        lines.extend(inner.hot.iter().map(|(k, e)| (k, &*e.line)));
+        lines.sort_unstable_by_key(|(k, _)| *k);
         let mut out = String::with_capacity(64 * lines.len());
         out.push_str(STORE_FORMAT);
         out.push('\n');
         for (key, line) in lines {
             out.push_str(&Fingerprint(key).to_string());
             out.push(' ');
-            out.push_str(&line);
+            out.push_str(line);
             out.push('\n');
         }
         if let Some(dir) = path.parent() {
@@ -1061,13 +1033,16 @@ mod tests {
         let cache = CertCache::in_memory();
         let k1 = Fingerprint(1);
         let k2 = Fingerprint(2);
-        assert!(cache.lookup(k1, "Main.main", false, "scmp-fds").is_none());
+        assert!(matches!(cache.lookup(k1, "Main.main", false, "scmp-fds"), (None, None)));
         cache.store(k1, sample());
-        assert!(cache.lookup(k1, "Main.main", false, "scmp-fds").is_some());
-        // same cell, new key: the miss is an invalidation
-        assert!(cache.lookup(k2, "Main.main", false, "scmp-fds").is_none());
+        assert!(cache.lookup(k1, "Main.main", false, "scmp-fds").0.is_some());
+        // same cell, new key: the miss is an invalidation, and the stale
+        // entry under the previous key comes back as the delta seed
+        let (hit, stale) = cache.lookup(k2, "Main.main", false, "scmp-fds");
+        assert!(hit.is_none());
+        assert_eq!(stale.as_deref(), Some(&sample()));
         // different cell, first sighting: a plain miss
-        assert!(cache.lookup(k2, "Main.other", false, "scmp-fds").is_none());
+        assert!(matches!(cache.lookup(k2, "Main.other", false, "scmp-fds"), (None, None)));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.stores), (1, 3, 1));
         assert_eq!(stats.invalidations, 1);
@@ -1087,7 +1062,7 @@ mod tests {
         assert_eq!(reopened.stats().loaded, 1);
         assert!(!reopened.stats().recovered_from_corruption);
         assert_eq!(
-            reopened.lookup(Fingerprint(42), "Main.main", false, "scmp-fds").as_deref(),
+            reopened.lookup(Fingerprint(42), "Main.main", false, "scmp-fds").0.as_deref(),
             Some(&sample())
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -1129,9 +1104,25 @@ mod tests {
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.memory_entries(), 2);
         // no disk tier: the evicted certificate is a cold miss
-        assert!(cache.lookup(Fingerprint(1), "Main.main", false, "scmp-fds").is_none());
-        assert!(cache.lookup(Fingerprint(3), "Main.x3", false, "scmp-fds").is_some());
+        assert!(cache.lookup(Fingerprint(1), "Main.main", false, "scmp-fds").0.is_none());
+        assert!(cache.lookup(Fingerprint(3), "Main.x3", false, "scmp-fds").0.is_some());
         assert_eq!(cache.stats().spill_hits, 0);
+    }
+
+    #[test]
+    fn the_budget_is_one_global_bound() {
+        // a certificate whose store line is over 8 KiB, an eighth of the
+        // budget: it fits the budget, so it is admitted and stays resident
+        let big = sample_with_cell(CellSolution::MayOne { nodes: vec![vec![0, 1, 2, 3]; 1000] });
+        let cost = line_cost(&big.to_json().render_compact()) as u64;
+        assert!((8 * 1024..64 * 1024).contains(&cost), "{cost}");
+        let cache = CertCache::in_memory_budgeted(Some(64 * 1024));
+        let key = Fingerprint(9);
+        assert!(cache.lookup(key, "Main.main", false, "scmp-fds").0.is_none());
+        cache.store(key, big.clone());
+        let (hit, _) = cache.lookup(key, "Main.main", false, "scmp-fds");
+        assert!(hit.is_some_and(|hit| *hit == big), "the second lookup is a hit");
+        assert_eq!((cache.stats().evictions, cache.memory_bytes()), (0, cost));
     }
 
     #[test]
@@ -1151,7 +1142,7 @@ mod tests {
             assert_eq!((cache.memory_entries(), cache.len()), (2, 3));
             // the evicted key still answers, from the spill tier, with a
             // byte-identical certificate
-            let back = cache.lookup(Fingerprint(1), "Main.main", false, "scmp-fds");
+            let (back, _) = cache.lookup(Fingerprint(1), "Main.main", false, "scmp-fds");
             assert_eq!(back.as_ref().map(|r| r.to_json().render_compact()), Some(line.clone()));
             let stats = cache.stats();
             assert_eq!((stats.hits, stats.spill_hits), (1, 1));

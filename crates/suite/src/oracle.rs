@@ -256,8 +256,14 @@ impl Oracle<'_> {
                     return vec![state];
                 }
                 let rty = self.program.var(*recv).ty;
-                let class = self.spec.class(rty.as_str()).expect("known method").clone();
-                let mspec = class.method(m).expect("known method").clone();
+                // a known call resolved against this spec when it was parsed
+                let Some((class, mspec)) = self
+                    .spec
+                    .class(rty.as_str())
+                    .and_then(|c| Some((c.clone(), c.method(m)?.clone())))
+                else {
+                    return vec![state];
+                };
                 let argv: Vec<Value> = args.iter().map(|a| state.get(*a)).collect();
                 if let Some(req) = mspec.requires() {
                     match self.eval_formula(&class, &mspec, req, robj, &argv, &state) {
@@ -340,14 +346,12 @@ impl Oracle<'_> {
         for stmt in m.body() {
             let SpecStmt::Assign { lhs, rhs } = stmt;
             let value = self.eval_spec_expr(class, m, rhs, this, args, state)?;
-            // target object: evaluate the parent path
-            let parent = canvas_easl::SpecPath::new(
-                lhs.base(),
-                lhs.fields()[..lhs.fields().len() - 1].to_vec(),
-            );
+            // target object: evaluate the parent path (an assignment always
+            // targets a field, so the split never fails on parsed specs)
+            let (field, parent_fields) = lhs.fields().split_last().ok_or(())?;
+            let parent = canvas_easl::SpecPath::new(lhs.base(), parent_fields.to_vec());
             let target = self.eval_spec_path(&parent, this, args, state)?.ok_or(())?;
-            let field = lhs.fields().last().expect("assignments target fields").clone();
-            state.objects[target].fields.insert(field, value);
+            state.objects[target].fields.insert(field.clone(), value);
         }
         Ok(())
     }
